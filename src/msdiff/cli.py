@@ -12,14 +12,11 @@ import argparse
 import sys
 
 from .errors import SolverError, ValidationError
-from .harness import (build_experiment, emit_comparison_csv,
+from .harness import (KINDS, build_experiment, emit_comparison_csv,
                       emit_solution_csv, emit_table, emit_weights_csv,
                       load_config_file, run_convergence_space,
                       run_convergence_time, run_figure_comparison,
                       run_single_solve, write_text)
-
-_KINDS = ("solve", "convergence-time", "convergence-space", "figure1",
-          "weights-dump")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="msd",
         description="Multiscale diffusion solver and experiment harness")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in _KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--exponent",
@@ -39,14 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--u0", help="sin-pi|poly-x2-1mx2|custom-table")
         p.add_argument("--u0-table", dest="u0_table",
                        help="CSV of x,value samples for custom-table")
-        p.add_argument("--source", help="named source (only 'zero')")
         p.add_argument("--T", dest="T", type=float, help="final time")
         p.add_argument("--N", dest="n_steps", type=int, help="time steps")
         p.add_argument("--M", dest="m_cells", type=int, help="mesh cells")
         p.add_argument("--levels", type=int,
                        help="refinement levels of a convergence study")
-        p.add_argument("--probe-x", dest="probe_x", type=float,
-                       help="sampling position for time series")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", dest="fmt", choices=("csv", "markdown"),
                        help="output format")
@@ -57,8 +51,7 @@ def _run(args) -> str:
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {name: getattr(args, name) for name in
                  ("exponent", "alpha_end", "exponent_table", "u0", "u0_table",
-                  "source", "T", "n_steps", "m_cells", "levels", "probe_x",
-                  "out", "fmt")}
+                  "T", "n_steps", "m_cells", "levels", "out", "fmt")}
     cfg = build_experiment(args.kind, file_values, overrides)
     if cfg.kind == "convergence-time":
         return emit_table(run_convergence_time(cfg), cfg.fmt), cfg.out

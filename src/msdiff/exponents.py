@@ -287,6 +287,21 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     )
 
 
+def read_table_csv(path: str, columns: str) -> np.ndarray:
+    """Rows of a two-column numeric CSV file ('#' starts a comment).
+
+    A file that cannot be read, holds non-numeric text or has another
+    column count raises ValidationError naming the file.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#")
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"cannot read table {path}: {err}") from err
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ValidationError(f"{path}: expected two columns {columns}")
+    return data
+
+
 def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
                      table_path: Optional[str] = None) -> VariableExponent:
     """Build one of the named profiles used by the CLI."""
@@ -301,9 +316,6 @@ def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
     if name == "table":
         if table_path is None:
             raise ValidationError("profile 'table' needs an exponent-table file")
-        data = np.loadtxt(table_path, delimiter=",", comments="#")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValidationError(
-                f"{table_path}: expected two columns t,alpha")
+        data = read_table_csv(table_path, "t,alpha")
         return tabulated_exponent(data[:, 0], data[:, 1])
     raise ValidationError(f"unknown exponent profile {name!r}")

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .exponents import VariableExponent, exponent_by_name
+from .exponents import VariableExponent, exponent_by_name, read_table_csv
 from .fem import Mesh1D, discrete_l2_diff
 from .reference import ComparisonSeries, figure_transition_profiles
 from .stepper import SolverConfig, solve
@@ -44,12 +44,10 @@ class ExperimentConfig:
     exponent_table: Optional[str] = None
     u0: str = "sin-pi"
     u0_table: Optional[str] = None
-    source: str = "zero"
     T: float = 1.0
     n_steps: int = 128
     m_cells: int = 32
     levels: int = 4
-    probe_x: float = 0.5
     out: Optional[str] = None
     fmt: str = "csv"
 
@@ -60,10 +58,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown output format {self.fmt!r}")
         if self.u0 not in U0_NAMES:
             raise ValidationError(f"unknown initial profile {self.u0!r}")
-        if self.source != "zero":
-            raise ValidationError(
-                f"named sources are limited to 'zero', got {self.source!r}; "
-                "pass a callable through the library API for anything else")
         for label, value in (("T", self.T), ("N", self.n_steps),
                              ("M", self.m_cells), ("levels", self.levels)):
             if not value > 0:
@@ -72,9 +66,6 @@ class ExperimentConfig:
                 and self.levels < 2:
             raise ValidationError(
                 f"convergence studies need at least 2 levels, got {self.levels}")
-        if not 0.0 <= self.probe_x <= 1.0:
-            raise ValidationError(
-                f"probe position {self.probe_x} outside [0, 1]")
 
     def build_exponent(self) -> VariableExponent:
         return exponent_by_name(self.exponent, self.T, self.alpha_end,
@@ -88,19 +79,16 @@ class ExperimentConfig:
                 x = np.asarray(x, float)
                 return x * x * (1.0 - x) ** 2
             return poly
-        data = np.loadtxt(self._require(self.u0_table, "u0-table"),
-                          delimiter=",", comments="#")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValidationError(
-                f"{self.u0_table}: expected two columns x,value")
+        data = read_table_csv(self._require(self.u0_table, "u0-table"),
+                              "x,value")
         from scipy.interpolate import CubicSpline
         if abs(data[0, 1]) > 1e-12 or abs(data[-1, 1]) > 1e-12:
             raise ValidationError(
                 f"{self.u0_table}: sampled initial data must vanish at the ends")
-        return CubicSpline(data[:, 0], data[:, 1])
-
-    def build_source(self):
-        return None  # 'zero' is the only named source
+        try:
+            return CubicSpline(data[:, 0], data[:, 1])
+        except ValueError as err:
+            raise ValidationError(f"{self.u0_table}: {err}") from err
 
     @staticmethod
     def _require(value, flag):
@@ -134,13 +122,32 @@ class RateTable:
         return [r.rate for r in self.rows if r.rate is not None]
 
 
-def _solve_final(cfg: ExperimentConfig, n_steps: int,
-                 m_cells: int) -> np.ndarray:
-    run = SolverConfig(T=cfg.T, n_steps=n_steps, mesh=Mesh1D(m_cells),
-                       exponent=cfg.build_exponent(),
-                       initial=cfg.build_initial(),
-                       source=cfg.build_source())
-    return solve(run).final()
+def _solve(cfg: ExperimentConfig, exponent: VariableExponent, initial,
+           n_steps: int, m_cells: int):
+    return solve(SolverConfig(T=cfg.T, n_steps=n_steps, mesh=Mesh1D(m_cells),
+                              exponent=exponent, initial=initial))
+
+
+def _refinement_errors(base: int, levels: int, solve_at, diff) -> list:
+    """(P, error) rows for P = base, 2 base, ..., base 2^(levels-1).
+
+    Row P compares the final snapshots at P/2 and P, so the ladder
+    base/2, base, ..., base 2^(levels-1) is solved once and each run
+    serves two neighbouring rows.  A run that raises SolverError leaves
+    None (printed as NaN) in every row that uses it.
+    """
+    finals = []
+    for p in (base // 2 * 2 ** i for i in range(levels + 1)):
+        try:
+            finals.append(solve_at(p))
+        except SolverError:
+            finals.append(None)
+    entries = []
+    for lvl, (coarse, fine) in enumerate(zip(finals, finals[1:])):
+        p = base * 2 ** lvl
+        err = None if coarse is None or fine is None else diff(coarse, fine, p)
+        entries.append((p, err))
+    return entries
 
 
 def _attach_rates(kind, param_name, error_name, cfg, fixed, entries):
@@ -164,22 +171,18 @@ def run_convergence_time(cfg: ExperimentConfig) -> RateTable:
     """Temporal self-convergence at fixed mesh.
 
     Row with label N compares the N/2-step and N-step runs at final
-    time.  Levels are independent: each one re-solves its own pair.  A
-    solver failure marks its row (NaN error) and the study continues.
+    time.  A solver failure marks the rows of its run (NaN error) and
+    the study continues.
     """
     if cfg.n_steps % 2 != 0:
         raise ValidationError("base N must be even (the coarse mate is N/2)")
-    entries = []
-    for lvl in range(cfg.levels):
-        n_fine = cfg.n_steps * 2 ** lvl
-        try:
-            coarse = _solve_final(cfg, n_fine // 2, cfg.m_cells)
-            fine = _solve_final(cfg, n_fine, cfg.m_cells)
-            err = discrete_l2_diff(coarse, fine, "time-refined",
-                                   1.0 / cfg.m_cells)
-        except SolverError:
-            err = None
-        entries.append((n_fine, err))
+    exponent, initial = cfg.build_exponent(), cfg.build_initial()
+    h = 1.0 / cfg.m_cells
+    entries = _refinement_errors(
+        cfg.n_steps, cfg.levels,
+        lambda n: _solve(cfg, exponent, initial, n, cfg.m_cells).final(),
+        lambda coarse, fine, n: discrete_l2_diff(coarse, fine,
+                                                 "time-refined", h))
     return _attach_rates("convergence-time", "N", "E2", cfg,
                          f"M={cfg.m_cells}", entries)
 
@@ -192,16 +195,12 @@ def run_convergence_space(cfg: ExperimentConfig) -> RateTable:
     """
     if cfg.m_cells % 2 != 0 or cfg.m_cells < 4:
         raise ValidationError("base M must be even and >= 4")
-    entries = []
-    for lvl in range(cfg.levels):
-        m_fine = cfg.m_cells * 2 ** lvl
-        try:
-            coarse = _solve_final(cfg, cfg.n_steps, m_fine // 2)
-            fine = _solve_final(cfg, cfg.n_steps, m_fine)
-            err = discrete_l2_diff(coarse, fine, "space-refined", 1.0 / m_fine)
-        except SolverError:
-            err = None
-        entries.append((m_fine, err))
+    exponent, initial = cfg.build_exponent(), cfg.build_initial()
+    entries = _refinement_errors(
+        cfg.m_cells, cfg.levels,
+        lambda m: _solve(cfg, exponent, initial, cfg.n_steps, m).final(),
+        lambda coarse, fine, m: discrete_l2_diff(coarse, fine,
+                                                 "space-refined", 1.0 / m))
     return _attach_rates("convergence-space", "M", "G2", cfg,
                          f"N={cfg.n_steps}", entries)
 
@@ -216,12 +215,9 @@ def run_figure_comparison(cfg: ExperimentConfig) -> ComparisonSeries:
 
 def run_single_solve(cfg: ExperimentConfig):
     """One multiscale run; returns (x nodes incl. boundary, final values)."""
-    run = SolverConfig(T=cfg.T, n_steps=cfg.n_steps, mesh=Mesh1D(cfg.m_cells),
-                       exponent=cfg.build_exponent(),
-                       initial=cfg.build_initial(),
-                       source=cfg.build_source())
-    hist = solve(run)
-    x = np.concatenate(([0.0], run.mesh.interior_nodes(), [1.0]))
+    hist = _solve(cfg, cfg.build_exponent(), cfg.build_initial(),
+                  cfg.n_steps, cfg.m_cells)
+    x = np.concatenate(([0.0], hist.config.mesh.interior_nodes(), [1.0]))
     u = np.concatenate(([0.0], hist.final(), [0.0]))
     return x, u
 
@@ -336,12 +332,10 @@ _CONFIG_KEYS = {
     "exponent_table": str,
     "u0": str,
     "u0_table": str,
-    "source": str,
     "T": float,
     "N": int,
     "M": int,
     "levels": int,
-    "probe_x": float,
     "out": str,
     "format": str,
 }

@@ -1,12 +1,12 @@
-"""Comparison solvers: classical heat flow and constant-order subdiffusion.
+"""Comparison models: classical heat flow and constant-order subdiffusion.
 
-Both reuse the P1 machinery but run their own stepping loops, so the
-heat solver is an independent check of the multiscale stepper in the
-degenerate (zero-exponent) limit.  The constant-order solver treats the
-fractional term with first-order convolution quadrature, matching the
-backward-Euler backbone; the quadrature weights are the binomial
-coefficients of (1 - z)^a and the history sum includes the initial
-state (no separate initial correction).
+Both are thin callers of the shared backward-Euler marcher in
+`stepper`.  Heat flow is the marcher without memory.  The
+constant-order model treats the fractional term with first-order
+convolution quadrature, matching the backward-Euler backbone; the
+quadrature weights are the binomial coefficients of (1 - z)^a and the
+history sum includes the initial state (no separate initial
+correction).
 """
 
 import math
@@ -15,11 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .exponents import figure_transition_exponent
-from .fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                  assemble_stiffness, load_vector, ritz_projection)
-from .stepper import SolverConfig, SolutionHistory, sample_solution, solve
+from .fem import Mesh1D
+from .stepper import (SolverConfig, SolutionHistory, _march, sample_solution,
+                      solve)
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
@@ -28,27 +28,7 @@ def heat_solve(config: SolverConfig) -> SolutionHistory:
     Ignores config.exponent; with a zero exponent the multiscale
     stepper must reproduce this history to roundoff.
     """
-    mesh, tau, N = config.mesh, config.tau, config.n_steps
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh)
-    system = TriDiagonalMatrix(
-        sub=mass.sub / tau + stiff.sub,
-        diag=mass.diag / tau + stiff.diag,
-        sup=mass.sup / tau + stiff.sup,
-    ).factor()
-
-    history = np.zeros((N + 1, mesh.n_unknowns))
-    history[0] = ritz_projection(mesh, config.initial)
-    for n in range(1, N + 1):
-        rhs = mass.matvec(history[n - 1]) / tau
-        if config.source is not None:
-            t_n = n * tau
-            rhs += load_vector(mesh, lambda x: config.source(x, t_n))
-        u = system.solve(rhs)
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"non-finite solution values at step {n}")
-        history[n] = u
-    return SolutionHistory(config=config, snapshots=history)
+    return _march(config, 1.0)
 
 
 def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
@@ -99,35 +79,10 @@ def constant_subdiffusion_solve(config: ConstantExponentConfig) -> SolutionHisto
     [M/tau + tau^(-a) A] U_n
         = (M/tau) U_{n-1} + F_n - tau^(-a) A sum_{j=1..n} w_j U_{n-j}.
     """
-    mesh, tau, N = config.mesh, config.tau, config.n_steps
-    a = config.alpha_bar
-    w = cq_weights(a, N)
-    scale = tau ** (-a)
-
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh)
-    system = TriDiagonalMatrix(
-        sub=mass.sub / tau + scale * stiff.sub,
-        diag=mass.diag / tau + scale * stiff.diag,
-        sup=mass.sup / tau + scale * stiff.sup,
-    ).factor()
-
-    history = np.zeros((N + 1, mesh.n_unknowns))
-    history[0] = ritz_projection(mesh, config.initial)
-    for n in range(1, N + 1):
-        rhs = mass.matvec(history[n - 1]) / tau
-        if config.source is not None:
-            t_n = n * tau
-            rhs += load_vector(mesh, lambda x: config.source(x, t_n))
-        # sum_{j=1..n} w_j U_{n-j}; the reversed history block pairs
-        # w_j with U_{n-j}, including U_0
-        mem = w[1:n + 1] @ history[n - 1::-1]
-        rhs -= scale * stiff.matvec(mem)
-        u = system.solve(rhs)
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"non-finite solution values at step {n}")
-        history[n] = u
-    return SolutionHistory(config=config, snapshots=history)
+    scale = config.tau ** (-config.alpha_bar)
+    return _march(config, scale,
+                  scale * cq_weights(config.alpha_bar, config.n_steps),
+                  first=0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +125,7 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
         initial=initial))
 
     probe = lambda hist: np.array(
-        [sample_solution(hist, 0.5, n) for n in range(n_steps + 1)])
+        [sample_solution(hist, 0.5, step) for step in range(n_steps + 1)])
     return ComparisonSeries(
         times=multi.times(),
         heat=probe(heat),

@@ -1,16 +1,27 @@
-"""Backward-Euler stepping of the reformulated multiscale model.
+"""Backward-Euler time marching shared by the three models.
 
-Each step solves
+Every model here steps the P1 system
 
-    [M/tau + (1 + w_diag) A] U_n
-        = (M/tau) U_{n-1} + F_n - A sum_{k<n} w(n,k) U_k,
+    [M/tau + c A] U_n
+        = (M/tau) U_{n-1} + F_n - A sum_{k=first..n-1} w[n-k] U_k,
 
 where M and A are the P1 mass and stiffness matrices, F_n the load at
-t_n, and w the memory weights.  The memory sum is accumulated over the
-stored history first and hit by A once.  On the uniform grid the
-diagonal weight (and hence the system matrix) is step-independent, so
-the matrix is factored a single time per solve.  Cost O(N^2 M) overall,
-history kept fully in memory because the memory term needs it anyway.
+t_n, c the implicit coefficient and w a lag-indexed memory vector.  The
+models differ only in c, w and whether U_0 enters the sum (`first`):
+
+- multiscale (`solve`): c = 1 + b(n, n), w the closed-form memory
+  weights, first = 1;
+- heat flow (`reference.heat_solve`): c = 1, no memory;
+- constant-order subdiffusion (`reference.constant_subdiffusion_solve`):
+  c = tau^-a, w = tau^-a times the convolution-quadrature weights,
+  first = 0.
+
+On the uniform grid c is step-independent, so the matrix is factored
+once per run.  The memory sum is accumulated over the stored history
+first and hit by A once; cost O(N^2 M) overall, with the history kept
+fully in memory because the memory term needs it anyway.  The
+independent checks of this loop are the dense oracles of the test
+suite.
 """
 
 from dataclasses import dataclass
@@ -79,7 +90,7 @@ def solve(config: SolverConfig,
     pivot breakdown, on a non-positive implicit coefficient
     1 + w_diag, or on a non-finite snapshot.
     """
-    mesh, tau, N = config.mesh, config.tau, config.n_steps
+    tau, N = config.tau, config.n_steps
     if weights is None:
         validate_assumption_a(config.exponent, config.T)
         weights = assemble_weights(N, tau, config.exponent)
@@ -92,7 +103,20 @@ def solve(config: SolverConfig,
         raise SolverError(
             f"implicit memory coefficient 1 + {weights.diagonal} <= 0 at "
             f"tau = {tau}; refine the time step")
+    return _march(config, implicit, weights.lag, first=1)
 
+
+def _march(config, implicit: float, memory: Optional[np.ndarray] = None,
+           first: int = 1) -> SolutionHistory:
+    """Step n = 1..N from the projected initial data (see module doc).
+
+    memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
+    entry 0 is never read (its share sits in `implicit`).  config is a
+    SolverConfig or any run description with the same grid and data
+    fields.  Raises SolverError on a non-finite snapshot.
+    """
+    mesh, tau, N = config.mesh, config.tau, config.n_steps
+    source = config.source
     mass = assemble_mass(mesh)
     stiff = assemble_stiffness(mesh)
     system = TriDiagonalMatrix(
@@ -101,20 +125,19 @@ def solve(config: SolverConfig,
         sup=mass.sup / tau + implicit * stiff.sup,
     ).factor()
 
-    lag = weights.lag
+    if memory is not None:
+        # contiguous reversed copy: rev[N - n + (k - first)] = memory[n - k]
+        rev = np.ascontiguousarray(memory[N - first::-1])
     history = np.zeros((N + 1, mesh.n_unknowns))
     history[0] = ritz_projection(mesh, config.initial)
 
     for n in range(1, N + 1):
         rhs = mass.matvec(history[n - 1]) / tau
-        if config.source is not None:
+        if source is not None:
             t_n = n * tau
-            rhs += load_vector(mesh, lambda x: config.source(x, t_n))
-        if n > 1:
-            # sum_{k=1..n-1} w(n,k) U_k; the reversed lag slice aligns
-            # lag[n-k] with U_k
-            mem = lag[1:n][::-1] @ history[1:n]
-            rhs -= stiff.matvec(mem)
+            rhs += load_vector(mesh, lambda x: source(x, t_n))
+        if memory is not None and n > first:
+            rhs -= stiff.matvec(rev[N - n:N - first] @ history[first:n])
         u = system.solve(rhs)
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite solution values at step {n}")

@@ -2,8 +2,10 @@
 
 Everything here re-derives quantities along a route different from the
 library code: brute-force quadrature of defining integrals, dense
-Gaussian elimination, a Lanczos gamma independent of math.gamma, and
-high-resolution quadrature of interpolants.
+Gaussian elimination, a Lanczos gamma independent of math.gamma,
+high-resolution quadrature of interpolants, and a dense time-stepping
+loop that shares nothing with the library's marcher beyond the P1
+matrices.
 """
 
 import math
@@ -11,6 +13,8 @@ import warnings
 
 import numpy as np
 from scipy.integrate import quad
+
+from msdiff.fem import assemble_mass, assemble_stiffness
 
 EULER = 0.5772156649015328606
 
@@ -128,6 +132,29 @@ def dense_gauss_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
     return x
+
+
+def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None):
+    """Backward-Euler P1 snapshots U_0..U_N of
+
+        (M/tau + implicit A) U_n = M U_{n-1} / tau
+                                   - sum_{k=0..n-1} weight(n, k) A U_k,
+
+    with A applied to each history term separately and a dense Gaussian
+    elimination at every step.  weight=None is plain heat flow.
+    """
+    mass = dense_from_tridiag(assemble_mass(mesh))
+    stiff = dense_from_tridiag(assemble_stiffness(mesh))
+    system = mass / tau + implicit * stiff
+    hist = np.zeros((n_steps + 1, mesh.n_unknowns))
+    hist[0] = initial(mesh.interior_nodes())
+    for n in range(1, n_steps + 1):
+        rhs = mass @ hist[n - 1] / tau
+        if weight is not None:
+            for k in range(n):
+                rhs -= weight(n, k) * (stiff @ hist[k])
+        hist[n] = dense_gauss_solve(system, rhs)
+    return hist
 
 
 def interpolant_l2_norm_sq(mesh, values) -> float:

@@ -29,8 +29,6 @@ def test_config_validation_rules():
     with pytest.raises(ValidationError):
         small_time_cfg(u0="gaussian")
     with pytest.raises(ValidationError):
-        small_time_cfg(source="sin")
-    with pytest.raises(ValidationError):
         small_time_cfg(T=-1.0)
 
 
@@ -196,6 +194,21 @@ def test_cli_solve_and_figure1(tmp_path):
 def test_cli_validation_failure_exits_2(capsys):
     assert main(["convergence-time", "--levels", "1"]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--exponent", "table", "--exponent-table"],
+    ["--u0", "custom-table", "--u0-table"],
+])
+@pytest.mark.parametrize("content", [None, "t,alpha\n0,zero\n"])
+def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):
+    path = tmp_path / "table.csv"
+    if content is not None:
+        path.write_text(content)
+    assert main(["solve", "--N", "8", "--M", "4"] + flags + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "msd: invalid input" in err and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_cli_module_entry_point(tmp_path):

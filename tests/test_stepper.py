@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import binom
 
 from msdiff.errors import ValidationError
-from msdiff.exponents import example_exponent_1, example_exponent_2
+from msdiff.exponents import (example_exponent_1, example_exponent_2,
+                              exponent_by_name)
 from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
                         discrete_l2_diff, discrete_l2_norm)
-from msdiff.reference import heat_solve
+from msdiff.reference import (ConstantExponentConfig,
+                              constant_subdiffusion_solve)
 from msdiff.stepper import SolverConfig, sample_solution, solve
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
-from oracles import dense_from_tridiag, dense_gauss_solve
+from oracles import dense_from_tridiag, dense_gauss_solve, dense_history
 
 
 def test_config_validation(exp_zero):
@@ -54,8 +59,34 @@ def test_fickian_degeneration_matches_heat_solver(exp_zero):
     cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(32), exponent=exp_zero,
                        initial=u0_sine)
     multi = solve(cfg)
-    heat = heat_solve(cfg)
-    assert np.abs(multi.snapshots - heat.snapshots).max() < 1e-14
+    heat = dense_history(cfg.mesh, cfg.tau, cfg.n_steps, u0_sine)
+    assert np.abs(multi.snapshots - heat).max() < 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(1, 12), M=st.integers(2, 8),
+       alpha_bar=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_marcher_matches_dense_oracles(N, M, alpha_bar):
+    mesh = Mesh1D(M)
+    tau = 1.0 / N
+    # constant order: CQ weights (-1)^j binom(a, j), U_0 inside the sum
+    scale = tau ** -alpha_bar
+    got = constant_subdiffusion_solve(ConstantExponentConfig(
+        alpha_bar=alpha_bar, T=1.0, n_steps=N, mesh=mesh, initial=u0_sine))
+    want = dense_history(
+        mesh, tau, N, u0_sine, implicit=scale,
+        weight=lambda n, k: scale * (-1) ** (n - k) * binom(alpha_bar, n - k))
+    assert np.abs(got.snapshots - want).max() <= 1e-12
+    # multiscale: row n-1 of the dense table holds b(n, 1..n)
+    for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
+        exp = exponent_by_name(name, 1.0, alpha_bar)
+        got = solve(SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp,
+                                 initial=u0_sine))
+        table = assemble_weights(N, tau, exp).dense()
+        want = dense_history(
+            mesh, tau, N, u0_sine, implicit=1.0 + table[0, 0],
+            weight=lambda n, k: table[n - 1, k - 1] if k else 0.0)
+        assert np.abs(got.snapshots - want).max() <= 1e-12, name
 
 
 def test_source_term_is_sampled_at_step_end(exp_zero):
