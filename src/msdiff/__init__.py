@@ -28,7 +28,8 @@ from .reference import (ComparisonSeries, ConstantExponentConfig, cq_weights,
                         constant_subdiffusion_solve, figure_transition_profiles,
                         heat_solve)
 from .special import EULER_GAMMA, digamma, gamma
-from .stepper import SolutionHistory, SolverConfig, sample_solution, solve
+from .stepper import (SolutionHistory, SolverConfig, sample_series,
+                      sample_solution, solve)
 from .weights import (WeightTable, assemble_weights, memory_weight,
                       weight_log_moment, weight_power_moment,
                       weight_smooth_factor)

@@ -317,5 +317,11 @@ def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
         if table_path is None:
             raise ValidationError("profile 'table' needs an exponent-table file")
         data = read_table_csv(table_path, "t,alpha")
+        last = float(data[-1, 0])
+        if T > last:
+            raise ValidationError(
+                f"{table_path}: the last exponent sample is at t = {last}, "
+                f"before the final time T = {T}; the spline would "
+                "extrapolate")
         return tabulated_exponent(data[:, 0], data[:, 1])
     raise ValidationError(f"unknown exponent profile {name!r}")

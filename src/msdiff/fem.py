@@ -3,10 +3,13 @@
 Uniform grid with M cells, h = 1/M; the unknowns are the M-1 interior
 nodal values (boundary values are eliminated, never stored).  Mass and
 stiffness matrices are the classical P1 tridiagonals (h/6)[1 4 1] and
-(1/h)[-1 2 -1], kept in banded storage and solved with Thomas
-elimination.  In 1-D the Ritz projection of a function with zero
-boundary values coincides with its nodal interpolant, so projection is
-plain sampling.
+(1/h)[-1 2 -1].  Both are symmetric Toeplitz, so the sine vectors
+sin(j k pi / M), k = 1..M-1, are eigenvectors of both (sine_eigenvalues)
+and the discrete sine transform dst1 diagonalises them; the time
+marcher steps in that basis.  Banded storage with a Thomas solver is
+kept for callers that want the matrices themselves.  In 1-D the Ritz
+projection of a function with zero boundary values coincides with its
+nodal interpolant, so projection is plain sampling.
 """
 
 from dataclasses import dataclass
@@ -120,6 +123,35 @@ def assemble_stiffness(mesh: Mesh1D) -> TriDiagonalMatrix:
         diag=np.full(m, 2.0 / h),
         sup=np.full(m - 1, -1.0 / h),
     )
+
+
+def sine_eigenvalues(mesh: Mesh1D):
+    """(mass, stiffness) eigenvalues on the sine vectors, k = 1..M-1.
+
+    With theta_k = k pi / M: h/3 (2 + cos theta_k) and
+    2/h (1 - cos theta_k), in the order of the dst1 coefficients.  Both
+    are evaluated through s = sin^2(theta_k / 2), because 1 - cos theta_k
+    cancels for the smooth modes: at M = 128 it would cost the lowest
+    stiffness eigenvalue about 3000 ulp.
+    """
+    h = mesh.h
+    s = np.sin(0.5 * np.pi * h * np.arange(1, mesh.m_cells)) ** 2
+    return h * (1.0 - 2.0 / 3.0 * s), 4.0 / h * s
+
+
+def dst1(values: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I along the last axis.
+
+    out[k-1] = sum_{j=1..M-1} values[j-1] sin(j k pi / M) for a last
+    axis of length M-1, from the FFT of the odd extension of length
+    2M.  Applying it twice multiplies by M/2.
+    """
+    values = np.asarray(values, float)
+    m = values.shape[-1] + 1
+    odd = np.zeros(values.shape[:-1] + (2 * m,))
+    odd[..., 1:m] = values
+    odd[..., m + 1:] = -values[..., ::-1]
+    return -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:m].imag
 
 
 def load_vector(mesh: Mesh1D, f) -> np.ndarray:

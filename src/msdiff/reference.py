@@ -18,8 +18,10 @@ import numpy as np
 from .errors import ValidationError
 from .exponents import figure_transition_exponent
 from .fem import Mesh1D
-from .stepper import (SolverConfig, SolutionHistory, _march, sample_solution,
-                      solve)
+# sample_solution is not called here, but perfbench/spans.py traces it
+# under this module's name
+from .stepper import (SolverConfig, SolutionHistory, _march,  # noqa: F401
+                      sample_series, sample_solution, solve)
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
@@ -124,11 +126,9 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
         alpha_bar=alpha_end, T=T, n_steps=n_steps, mesh=mesh,
         initial=initial))
 
-    probe = lambda hist: np.array(
-        [sample_solution(hist, 0.5, step) for step in range(n_steps + 1)])
     return ComparisonSeries(
         times=multi.times(),
-        heat=probe(heat),
-        multiscale=probe(multi),
-        subdiffusion=probe(sub),
+        heat=sample_series(heat, 0.5),
+        multiscale=sample_series(multi, 0.5),
+        subdiffusion=sample_series(sub, 0.5),
     )

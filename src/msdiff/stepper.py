@@ -16,12 +16,20 @@ models differ only in c, w and whether U_0 enters the sum (`first`):
   c = tau^-a, w = tau^-a times the convolution-quadrature weights,
   first = 0.
 
-On the uniform grid c is step-independent, so the matrix is factored
-once per run.  The memory sum is accumulated over the stored history
-first and hit by A once; cost O(N^2 M) overall, with the history kept
-fully in memory because the memory term needs it anyway.  The
-independent checks of this loop are the dense oracles of the test
-suite.
+On the uniform mesh M and A share the sine eigenvectors, so the
+marcher steps the sine coefficients u_n = dst1(U_n) instead of nodal
+values.  Mode k then obeys the scalar recurrence
+
+    d_k u_n[k] = (lam^M_k/tau) u_{n-1}[k] + dst1(F_n)[k]
+                 - lam^A_k sum_k w[n-k] u_k[k],
+    d_k = lam^M_k/tau + c lam^A_k > 0 for c > 0,
+
+so a step costs a few vector operations plus the memory sum, with no
+linear solve.  The memory sum runs over the stored coefficient history
+(cost O(N^2 M) overall, the history kept fully in memory because the
+memory term needs it anyway), and the snapshots are transformed back to
+nodal values once, in blocks, at the end.  The independent checks of
+this loop are the dense oracles of the test suite.
 """
 
 from dataclasses import dataclass
@@ -31,8 +39,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .exponents import VariableExponent, validate_assumption_a
-from .fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                  assemble_stiffness, load_vector, ritz_projection)
+from .fem import (Mesh1D, dst1, load_vector, ritz_projection,
+                  sine_eigenvalues)
 from .weights import WeightTable, assemble_weights
 
 
@@ -87,8 +95,8 @@ def solve(config: SolverConfig,
 
     The exponent is re-validated (cheap) unless a prebuilt weight table
     is supplied by a caller that already did so.  Raises SolverError on
-    pivot breakdown, on a non-positive implicit coefficient
-    1 + w_diag, or on a non-finite snapshot.
+    a non-positive implicit coefficient 1 + w_diag or on a non-finite
+    snapshot.
     """
     tau, N = config.tau, config.n_steps
     if weights is None:
@@ -106,53 +114,82 @@ def solve(config: SolverConfig,
     return _march(config, implicit, weights.lag, first=1)
 
 
+# rows per block when the coefficient history is turned back into nodal
+# values: bounds the FFT temporaries to a few blocks' worth of memory
+_BLOCK_ROWS = 64
+
+
 def _march(config, implicit: float, memory: Optional[np.ndarray] = None,
            first: int = 1) -> SolutionHistory:
     """Step n = 1..N from the projected initial data (see module doc).
 
-    memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
-    entry 0 is never read (its share sits in `implicit`).  config is a
-    SolverConfig or any run description with the same grid and data
-    fields.  Raises SolverError on a non-finite snapshot.
+    implicit must be positive.  memory[j] multiplies U_{n-j}; it needs
+    entries 0..N-first, and entry 0 is never read (its share sits in
+    `implicit`).  config is a SolverConfig or any run description with
+    the same grid and data fields.  Raises SolverError on a non-finite
+    snapshot.
     """
     mesh, tau, N = config.mesh, config.tau, config.n_steps
     source = config.source
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh)
-    system = TriDiagonalMatrix(
-        sub=mass.sub / tau + implicit * stiff.sub,
-        diag=mass.diag / tau + implicit * stiff.diag,
-        sup=mass.sup / tau + implicit * stiff.sup,
-    ).factor()
+    lam_mass, lam_stiff = sine_eigenvalues(mesh)
+    denom = lam_mass / tau + implicit * lam_stiff
+    decay = lam_mass / (tau * denom)
+    inv_denom = 1.0 / denom
+    memory_gain = lam_stiff * inv_denom
 
     if memory is not None:
         # contiguous reversed copy: rev[N - n + (k - first)] = memory[n - k]
         rev = np.ascontiguousarray(memory[N - first::-1])
-    history = np.zeros((N + 1, mesh.n_unknowns))
-    history[0] = ritz_projection(mesh, config.initial)
+    u0 = ritz_projection(mesh, config.initial)
+    history = np.empty((N + 1, mesh.n_unknowns))
+    history[0] = dst1(u0)
 
     for n in range(1, N + 1):
-        rhs = mass.matvec(history[n - 1]) / tau
+        u = history[n]
+        np.multiply(decay, history[n - 1], out=u)
         if source is not None:
             t_n = n * tau
-            rhs += load_vector(mesh, lambda x: source(x, t_n))
+            u += inv_denom * dst1(
+                load_vector(mesh, lambda x: source(x, t_n)))
         if memory is not None and n > first:
-            rhs -= stiff.matvec(rev[N - n:N - first] @ history[first:n])
-        u = system.solve(rhs)
+            u -= memory_gain * (rev[N - n:N - first] @ history[first:n])
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite solution values at step {n}")
-        history[n] = u
+
+    scale = 2.0 / mesh.m_cells
+    for lo in range(1, N + 1, _BLOCK_ROWS):
+        block = history[lo:lo + _BLOCK_ROWS]
+        block[:] = dst1(block)
+        block *= scale
+    history[0] = u0
     return SolutionHistory(config=config, snapshots=history)
+
+
+def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
+    """Piecewise-linear values u(x, t_n) of every snapshot, n = 0..N.
+
+    x must lie in [0, 1]; each value interpolates between the two
+    nodes bracketing x (boundary nodes count as zero).
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"sample position {x} outside [0, 1]")
+    mesh = history.config.mesh
+    snaps = history.snapshots
+    cell = min(int(x * mesh.m_cells), mesh.m_cells - 1)
+    left_x, right_x = cell * mesh.h, (cell + 1) * mesh.h
+    theta = (x - left_x) / (right_x - left_x)
+
+    def node(j):
+        if 0 < j < mesh.m_cells:
+            return snaps[:, j - 1]
+        return np.zeros(snaps.shape[0])
+
+    return (1.0 - theta) * node(cell) + theta * node(cell + 1)
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
     """Piecewise-linear value of snapshot n at position x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"sample position {x} outside [0, 1]")
     if not 0 <= n <= history.n_steps:
         raise ValidationError(
             f"snapshot index {n} outside 0..{history.n_steps}")
-    mesh = history.config.mesh
-    grid = np.concatenate(([0.0], mesh.interior_nodes(), [1.0]))
-    vals = np.concatenate(([0.0], history.snapshots[n], [0.0]))
-    return float(np.interp(x, grid, vals))
+    return float(sample_series(history, x)[n])

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .exponents import VariableExponent
-from .kernel import smooth_factor
-from .special import gamma
+from .kernel import _RATIO_LIMIT_TIME, smooth_factor
+from .special import digamma, gamma
 
 
 def _check_panel(n: int, k: int, tau: float) -> None:
@@ -135,26 +135,46 @@ class WeightTable:
 
 def assemble_weights(n_steps: int, tau: float,
                      exp: VariableExponent) -> WeightTable:
-    """Compute the lag vector for an N-step grid.
+    """Compute the lag vector for an N-step grid in one vectorised pass.
 
-    The exponent is assumed admissible.  Any special-function failure
-    is re-raised with the offending (n, k) pair attached; non-finite
-    entries are rejected outright.
+    Lag j is the panel (n, k) = (j + 1, 1) of memory_weight, evaluated
+    for all lags at once with the exponent called on the lag array.
+    The exponent is assumed admissible.  The first lag whose
+    Gamma(1 - alpha) is out of range (alpha >= 1 or alpha < -170) or
+    whose weight is not finite raises SolverError naming that lag.
     """
     if n_steps < 1:
         raise ValidationError(f"need at least one step, got {n_steps}")
     if not tau > 0.0:
         raise ValidationError(f"step size must be positive, got {tau}")
-    lag = np.empty(n_steps)
-    for j in range(n_steps):
-        try:
-            lag[j] = memory_weight(j + 1, 1, tau, exp)
-        except (ValidationError, ValueError, OverflowError) as err:
+    d = tau * np.arange(n_steps)          # lag of panel j
+    e = tau * np.arange(1, n_steps + 1)   # far end of panel j
+    a = np.broadcast_to(np.asarray(exp.alpha(d), float), d.shape)
+    d1 = np.broadcast_to(np.asarray(exp.alpha_d1(d), float), d.shape)
+    one_m = 1.0 - a
+    # Gamma(1 - a) and psi(1 - a) need 0 < 1 - a (False for NaN), and
+    # Gamma overflows past 171.6
+    ok = (one_m > 0.0) & (one_m < 171.0)
+    with np.errstate(all="ignore"):
+        one_m = np.where(ok, one_m, 1.0)
+        e_pow = e ** one_m
+        d_pow = d ** one_m
+        log_m = e_pow / one_m * (np.log(e) - 1.0 / one_m)
+        # x ln x -> 0 at the singular end of the diagonal panel
+        log_m[1:] -= d_pow[1:] / one_m[1:] * (np.log(d[1:]) - 1.0 / one_m[1:])
+        pow_m = (e_pow - d_pow) / one_m
+        near = d < _RATIO_LIMIT_TIME
+        ratio = np.where(near, d1[0], a / np.where(near, 1.0, d))
+        smooth = -ratio + digamma(one_m) * d1
+        lag = (-d1 * log_m + smooth * pow_m) / gamma(one_m)
+    bad = np.flatnonzero(~ok | ~np.isfinite(lag))
+    if bad.size:
+        j = int(bad[0])
+        if not ok[j]:
             raise SolverError(
-                f"weight evaluation failed at lag {j} "
-                f"(entries n-k={j}, e.g. n={j + 1}, k=1): {err}") from err
-    if not np.all(np.isfinite(lag)):
-        bad = int(np.flatnonzero(~np.isfinite(lag))[0])
+                f"weight evaluation failed at lag {j} (entries n-k={j}, "
+                f"e.g. n={j + 1}, k=1): Gamma(1 - alpha) out of range for "
+                f"alpha = {a[j]!r}")
         raise SolverError(
-            f"non-finite memory weight at lag {bad} (n={bad + 1}, k=1)")
+            f"non-finite memory weight at lag {j} (n={j + 1}, k=1)")
     return WeightTable(n_steps=n_steps, tau=tau, lag=lag)

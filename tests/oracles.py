@@ -5,7 +5,7 @@ library code: brute-force quadrature of defining integrals, dense
 Gaussian elimination, a Lanczos gamma independent of math.gamma,
 high-resolution quadrature of interpolants, and a dense time-stepping
 loop that shares nothing with the library's marcher beyond the P1
-matrices.
+matrices and load vector.
 """
 
 import math
@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 from scipy.integrate import quad
 
-from msdiff.fem import assemble_mass, assemble_stiffness
+from msdiff.fem import assemble_mass, assemble_stiffness, load_vector
 
 EULER = 0.5772156649015328606
 
@@ -134,14 +134,16 @@ def dense_gauss_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None):
+def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None,
+                  source=None):
     """Backward-Euler P1 snapshots U_0..U_N of
 
-        (M/tau + implicit A) U_n = M U_{n-1} / tau
+        (M/tau + implicit A) U_n = M U_{n-1} / tau + F_n
                                    - sum_{k=0..n-1} weight(n, k) A U_k,
 
     with A applied to each history term separately and a dense Gaussian
-    elimination at every step.  weight=None is plain heat flow.
+    elimination at every step.  weight=None drops the memory term;
+    F_n is the load vector of source(x, t_n), or zero for source=None.
     """
     mass = dense_from_tridiag(assemble_mass(mesh))
     stiff = dense_from_tridiag(assemble_stiffness(mesh))
@@ -150,6 +152,8 @@ def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None):
     hist[0] = initial(mesh.interior_nodes())
     for n in range(1, n_steps + 1):
         rhs = mass @ hist[n - 1] / tau
+        if source is not None:
+            rhs += load_vector(mesh, lambda x: source(x, n * tau))
         if weight is not None:
             for k in range(n):
                 rhs -= weight(n, k) * (stiff @ hist[k])

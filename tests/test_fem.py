@@ -6,8 +6,9 @@ from scipy.linalg import eigh
 
 from msdiff.errors import SolverError, ValidationError
 from msdiff.fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                        assemble_stiffness, discrete_l2_diff, load_vector,
-                        ritz_projection, tridiag_solve)
+                        assemble_stiffness, discrete_l2_diff, dst1,
+                        load_vector, ritz_projection, sine_eigenvalues,
+                        tridiag_solve)
 
 from oracles import (dense_from_tridiag, dense_gauss_solve,
                      interpolant_error_l2, interpolant_l2_norm_sq)
@@ -80,6 +81,26 @@ def test_matrices_are_symmetric_positive_definite():
             assert np.array_equal(mat.sub, mat.sup)
             factor = mat.factor()  # positive pivots = SPD for symmetric
             assert np.all(np.asarray(factor._piv) > 0.0)
+
+
+@pytest.mark.parametrize("m_cells", [2, 3, 8, 33])
+def test_dst_matches_sine_matrix_and_round_trips(m_cells):
+    j = np.arange(1, m_cells)
+    sines = np.sin(np.outer(j, j) * math.pi / m_cells)
+    x = np.random.default_rng(m_cells).uniform(-1.0, 1.0, (3, m_cells - 1))
+    assert np.abs(dst1(x) - x @ sines).max() <= 1e-13 * m_cells
+    assert np.abs(dst1(dst1(x)) * 2.0 / m_cells - x).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m_cells", [2, 3, 8, 33])
+def test_sine_eigenvalues_diagonalize_mass_and_stiffness(m_cells):
+    mesh = Mesh1D(m_cells)
+    j = np.arange(1, m_cells)
+    sines = np.sin(np.outer(j, j) * math.pi / m_cells)
+    for mat, lam in zip((assemble_mass(mesh), assemble_stiffness(mesh)),
+                        sine_eigenvalues(mesh)):
+        got = sines @ dense_from_tridiag(mat) @ sines * (2.0 / m_cells)
+        assert np.abs(got - np.diag(lam)).max() <= 1e-13 * lam.max()
 
 
 def test_load_vector_trivial_sources():

@@ -219,3 +219,18 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_cli_table_ending_before_final_time_exits_2(tmp_path, capsys):
+    path = tmp_path / "alpha.csv"
+    path.write_text("".join(f"{t},{0.3 * t}\n" for t in (0.0, 0.25, 0.5,
+                                                          0.75, 1.0)))
+    args = ["solve", "--exponent", "table", "--exponent-table", str(path),
+            "--N", "8", "--M", "4"]
+    assert main(args + ["--T", "1"]) == 0
+    capsys.readouterr()
+    assert main(args + ["--T", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "msd: invalid input" in err
+    assert "last exponent sample is at t = 1.0" in err and "extrapolate" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from msdiff.errors import ValidationError
@@ -37,6 +38,16 @@ def test_digamma_half_against_frozen_oracle():
 def test_digamma_matches_integral_formula(kappa):
     assert digamma(kappa) == pytest.approx(PSI_FROZEN[kappa], abs=1e-12)
     assert digamma(kappa) == pytest.approx(quad_digamma(kappa), abs=1e-12)
+
+
+def test_array_arguments_match_scalar_calls():
+    xs = np.array([1e-3] + sorted(PSI_FROZEN) + [7.5, 12.0, 170.0])
+    assert np.array_equal(digamma(xs), [digamma(x) for x in xs])
+    assert np.array_equal(gamma(xs), [math.gamma(x) for x in xs])
+    with pytest.raises(ValidationError):
+        digamma(np.array([0.5, 0.0]))
+    with pytest.raises(ValidationError):
+        gamma(np.array([0.5, -1.0]))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, -3.0])

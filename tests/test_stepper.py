@@ -12,7 +12,7 @@ from msdiff.exponents import (example_exponent_1, example_exponent_2,
 from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
                         discrete_l2_diff, discrete_l2_norm)
 from msdiff.reference import (ConstantExponentConfig,
-                              constant_subdiffusion_solve)
+                              constant_subdiffusion_solve, heat_solve)
 from msdiff.stepper import SolverConfig, sample_solution, solve
 from msdiff.weights import assemble_weights
 
@@ -87,6 +87,25 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
             mesh, tau, N, u0_sine, implicit=1.0 + table[0, 0],
             weight=lambda n, k: table[n - 1, k - 1] if k else 0.0)
         assert np.abs(got.snapshots - want).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("N,M", [(1, 2), (6, 2), (5, 3), (16, 8),
+                                 (12, 17)])
+def test_source_term_matches_dense_oracle(N, M, exp_ex1):
+    def source(x, t):
+        return (1.0 + 3.0 * t) * np.cos(3.0 * np.asarray(x, float)) + x
+
+    mesh = Mesh1D(M)
+    tau = 1.0 / N
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp_ex1,
+                       initial=u0_sine, source=source)
+    table = assemble_weights(N, tau, exp_ex1).dense()
+    want = dense_history(
+        mesh, tau, N, u0_sine, implicit=1.0 + table[0, 0],
+        weight=lambda n, k: table[n - 1, k - 1] if k else 0.0, source=source)
+    assert np.abs(solve(cfg).snapshots - want).max() <= 1e-12
+    want = dense_history(mesh, tau, N, u0_sine, source=source)
+    assert np.abs(heat_solve(cfg).snapshots - want).max() <= 1e-12
 
 
 def test_source_term_is_sampled_at_step_end(exp_zero):

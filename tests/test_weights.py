@@ -95,6 +95,20 @@ def test_table_entries_finite_for_all_profiles(exp_ex1, exp_ex2, exp_fig1,
         assert math.isfinite(table.b(16, 16))
 
 
+@pytest.mark.parametrize("N", [1, 7, 1024])
+def test_vectorised_assembly_matches_scalar_weights(exp_ex1, exp_ex2,
+                                                    exp_fig1, N):
+    # the array pass reorders no sums, but numpy's array log and pow
+    # may differ from libm by an ulp, and the log moment cancels at
+    # large lags by up to a factor of order N
+    for exp, T in ((exp_ex1, 1.0), (exp_ex2, 1.0), (exp_fig1, 8.0)):
+        tau = T / N
+        got = assemble_weights(N, tau, exp).lag
+        want = np.array([memory_weight(j + 1, 1, tau, exp)
+                         for j in range(N)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("N", [8, 16])
 def test_weight_magnitude_decays_with_lag(exp_ex2, N):
     # the signed weight crosses zero near the diagonal, so |b| first dips,
@@ -172,9 +186,9 @@ def test_assembly_propagates_failures():
         alpha_star=0.9,
         deriv_bound=1.0,
     )
-    # alpha jumps above 1, so Gamma(1 - alpha) is evaluated at a
-    # negative argument for large lags
-    with pytest.raises(SolverError, match="lag"):
+    # alpha jumps above 1, so Gamma(1 - alpha) would be evaluated at a
+    # negative argument for large lags; lag 4 (d = 0.5) is the first
+    with pytest.raises(SolverError, match="at lag 4 "):
         assemble_weights(8, 0.125, broken)
 
 
