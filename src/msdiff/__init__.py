@@ -24,7 +24,7 @@ from .harness import (ExperimentConfig, RateRow, RateTable, emit_table,
                       run_single_solve)
 from .kernel import (KernelEvaluation, evaluate_kernel, kernel_prefactor,
                      kernel_value, log_derivative_factor, smooth_factor)
-from .reference import (ComparisonSeries, ConstantExponentConfig, cq_weights,
+from .reference import (ComparisonSeries, cq_weights,
                         constant_subdiffusion_solve, figure_transition_profiles,
                         heat_solve)
 from .special import EULER_GAMMA, digamma, gamma

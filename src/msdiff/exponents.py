@@ -71,10 +71,6 @@ class ValidationReport:
     fd_err_d1: float
     fd_err_d2: float
     case_class: CaseClass
-    alpha_zero_ok: bool = True
-    range_ok: bool = True
-    deriv_bound_ok: bool = True
-    derivatives_consistent: bool = True
 
 
 def validate_assumption_a(exp: VariableExponent, T: float,

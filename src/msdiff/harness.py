@@ -34,6 +34,58 @@ FORMATS = ("csv", "markdown")
 U0_NAMES = ("sin-pi", "poly-x2-1mx2", "custom-table")
 
 
+@dataclass(frozen=True)
+class Option:
+    """One run setting, declared once for config files and CLI flags.
+
+    key is the config-file key; the flag is '--' + key with '_' turned
+    into '-'.  field is the ExperimentConfig attribute it sets and kinds
+    the experiment kinds that read it; any other kind rejects it.
+    """
+
+    key: str
+    field: str
+    type: type
+    help: str
+    kinds: tuple = KINDS
+    choices: Optional[tuple] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+
+_STUDIES = ("convergence-time", "convergence-space")
+_EXPONENT_READERS = ("solve",) + _STUDIES + ("weights-dump",)
+_DATA_READERS = ("solve",) + _STUDIES + ("figure1",)
+
+OPTIONS = (
+    Option("exponent", "exponent", str,
+           "exp-example1|exp-example2|exp-figure1|zero|table",
+           _EXPONENT_READERS),
+    Option("alpha_end", "alpha_end", float,
+           "terminal exponent of exp-figure1 / constant order"),
+    Option("exponent_table", "exponent_table", str,
+           "CSV of t,alpha samples for the 'table' profile",
+           _EXPONENT_READERS),
+    Option("u0", "u0", str, "|".join(U0_NAMES), _DATA_READERS),
+    Option("u0_table", "u0_table", str,
+           "CSV of x,value samples for custom-table", _DATA_READERS),
+    Option("T", "T", float, "final time"),
+    Option("N", "n_steps", int, "time steps"),
+    Option("M", "m_cells", int, "mesh cells", _DATA_READERS),
+    Option("levels", "levels", int,
+           "refinement levels of a convergence study", _STUDIES),
+    Option("out", "out", str, "output path (stdout when omitted)"),
+    Option("format", "fmt", str, "output format", _STUDIES, FORMATS),
+)
+
+
+def options_for(kind: str) -> tuple:
+    """The options that runs of this kind read, in table order."""
+    return tuple(opt for opt in OPTIONS if kind in opt.kinds)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one CLI run."""
@@ -79,8 +131,9 @@ class ExperimentConfig:
                 x = np.asarray(x, float)
                 return x * x * (1.0 - x) ** 2
             return poly
-        data = read_table_csv(self._require(self.u0_table, "u0-table"),
-                              "x,value")
+        if self.u0_table is None:
+            raise ValidationError("this run needs --u0-table")
+        data = read_table_csv(self.u0_table, "x,value")
         from scipy.interpolate import CubicSpline
         if abs(data[0, 1]) > 1e-12 or abs(data[-1, 1]) > 1e-12:
             raise ValidationError(
@@ -89,12 +142,6 @@ class ExperimentConfig:
             return CubicSpline(data[:, 0], data[:, 1])
         except ValueError as err:
             raise ValidationError(f"{self.u0_table}: {err}") from err
-
-    @staticmethod
-    def _require(value, flag):
-        if value is None:
-            raise ValidationError(f"this run needs --{flag}")
-        return value
 
 
 @dataclass(frozen=True)
@@ -326,27 +373,6 @@ def emit_weights_csv(cfg: ExperimentConfig) -> str:
 # Flat key=value config files
 
 
-_CONFIG_KEYS = {
-    "exponent": str,
-    "alpha_end": float,
-    "exponent_table": str,
-    "u0": str,
-    "u0_table": str,
-    "T": float,
-    "N": int,
-    "M": int,
-    "levels": int,
-    "out": str,
-    "format": str,
-}
-
-_KEY_TO_FIELD = {
-    "N": "n_steps",
-    "M": "m_cells",
-    "format": "fmt",
-}
-
-
 def load_config_file(path: str) -> dict:
     """Parse a flat 'key = value' file; '#' starts a comment."""
     values = {}
@@ -364,10 +390,11 @@ def load_config_file(path: str) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        opt = next((o for o in OPTIONS if o.key == key), None)
+        if opt is None:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](value)
+            values[opt.field] = opt.type(value)
         except ValueError as err:
             raise ValidationError(
                 f"{path}:{lineno}: bad value for {key!r}: {err}") from err
@@ -376,9 +403,19 @@ def load_config_file(path: str) -> dict:
 
 def build_experiment(kind: str, file_values: dict,
                      overrides: dict) -> ExperimentConfig:
-    """Merge config-file values with CLI overrides (overrides win)."""
+    """Merge config-file values with CLI overrides (overrides win).
+
+    Both map ExperimentConfig fields to values; a field that runs of
+    this kind do not read is rejected.
+    """
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    read = {opt.field for opt in options_for(kind)}
+    for field in merged:
+        if field not in read:
+            key = next((o.key for o in OPTIONS if o.field == field), field)
+            raise ValidationError(
+                f"option {key!r} is not read by kind {kind!r}")
     return ExperimentConfig(kind=kind, **merged)
 
 

@@ -1,7 +1,8 @@
 """Comparison models: classical heat flow and constant-order subdiffusion.
 
 Both are thin callers of the shared backward-Euler marcher in
-`stepper`.  Heat flow is the marcher without memory.  The
+`stepper` and take the multiscale model's `SolverConfig`, ignoring its
+exponent.  Heat flow is the marcher without memory.  The
 constant-order model treats the fractional term with first-order
 convolution quadrature, matching the backward-Euler backbone; the
 quadrature weights are the binomial coefficients of (1 - z)^a and the
@@ -11,7 +12,6 @@ correction).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,49 +42,22 @@ def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
     if not 0.0 < alpha_bar < 1.0:
         raise ValidationError(
             f"constant exponent must lie in (0, 1), got {alpha_bar}")
-    w = np.empty(count + 1)
-    w[0] = 1.0
-    for j in range(1, count + 1):
-        w[j] = w[j - 1] * (j - 1.0 - alpha_bar) / j
-    return w
+    j = np.arange(1.0, count + 1.0)
+    return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha_bar) / j)))
 
 
-@dataclass
-class ConstantExponentConfig:
-    """Run description for the constant-order comparison model."""
-
-    alpha_bar: float
-    T: float
-    n_steps: int
-    mesh: Mesh1D
-    initial: Callable[[np.ndarray], np.ndarray]
-    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_bar < 1.0:
-            raise ValidationError(
-                f"constant exponent must lie in (0, 1), got {self.alpha_bar}")
-        if not self.T > 0.0:
-            raise ValidationError(f"final time must be positive, got {self.T}")
-        if self.n_steps < 1:
-            raise ValidationError(
-                f"need at least one time step, got {self.n_steps}")
-
-    @property
-    def tau(self) -> float:
-        return self.T / self.n_steps
-
-
-def constant_subdiffusion_solve(config: ConstantExponentConfig) -> SolutionHistory:
+def constant_subdiffusion_solve(config: SolverConfig,
+                                alpha_bar: float) -> SolutionHistory:
     """Backward Euler with convolution quadrature for the fractional term:
 
     [M/tau + tau^(-a) A] U_n
-        = (M/tau) U_{n-1} + F_n - tau^(-a) A sum_{j=1..n} w_j U_{n-j}.
+        = (M/tau) U_{n-1} + F_n - tau^(-a) A sum_{j=1..n} w_j U_{n-j},
+
+    with a = alpha_bar in (0, 1).  Ignores config.exponent.
     """
-    scale = config.tau ** (-config.alpha_bar)
-    return _march(config, scale,
-                  scale * cq_weights(config.alpha_bar, config.n_steps),
-                  first=0)
+    weights = cq_weights(alpha_bar, config.n_steps)
+    scale = config.tau ** (-alpha_bar)
+    return _march(config, scale, scale * weights, first=0)
 
 
 @dataclass(frozen=True)
@@ -110,21 +83,14 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     order of the comparison model.  Returns the centre-point series of
     all three runs.
     """
-    if not 0.0 < alpha_end < 1.0:
-        raise ValidationError(
-            f"terminal exponent must lie in (0, 1), got {alpha_end}")
     if initial is None:
         initial = _default_initial
-    mesh = Mesh1D(m_cells)
-
-    multi_cfg = SolverConfig(T=T, n_steps=n_steps, mesh=mesh,
-                             exponent=figure_transition_exponent(T, alpha_end),
-                             initial=initial)
-    multi = solve(multi_cfg)
-    heat = heat_solve(multi_cfg)
-    sub = constant_subdiffusion_solve(ConstantExponentConfig(
-        alpha_bar=alpha_end, T=T, n_steps=n_steps, mesh=mesh,
-        initial=initial))
+    config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
+                          exponent=figure_transition_exponent(T, alpha_end),
+                          initial=initial)
+    multi = solve(config)
+    heat = heat_solve(config)
+    sub = constant_subdiffusion_solve(config, alpha_end)
 
     return ComparisonSeries(
         times=multi.times(),

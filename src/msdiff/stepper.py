@@ -16,6 +16,8 @@ models differ only in c, w and whether U_0 enters the sum (`first`):
   c = tau^-a, w = tau^-a times the convolution-quadrature weights,
   first = 0.
 
+All three take the same `SolverConfig`; only `solve` reads its exponent.
+
 On the uniform mesh M and A share the sine eigenvectors, so the
 marcher steps the sine coefficients u_n = dst1(U_n) instead of nodal
 values.  Mode k then obeys the scalar recurrence
@@ -94,7 +96,8 @@ def solve(config: SolverConfig,
     """Run the scheme over n = 1..N starting from the projected data.
 
     The exponent is re-validated (cheap) unless a prebuilt weight table
-    is supplied by a caller that already did so.  Raises SolverError on
+    is supplied by a caller that already did so; such a table must cover
+    at least N steps of this tau.  Raises SolverError on
     a non-positive implicit coefficient 1 + w_diag or on a non-finite
     snapshot.
     """
@@ -105,6 +108,9 @@ def solve(config: SolverConfig,
     elif weights.n_steps < N:
         raise ValidationError(
             f"weight table covers {weights.n_steps} steps, need {N}")
+    elif abs(weights.tau - tau) > 1e-12 * tau:
+        raise ValidationError(
+            f"weight table is built for tau = {weights.tau}, need {tau}")
 
     implicit = 1.0 + weights.diagonal
     if not implicit > 0.0:
@@ -119,15 +125,16 @@ def solve(config: SolverConfig,
 _BLOCK_ROWS = 64
 
 
-def _march(config, implicit: float, memory: Optional[np.ndarray] = None,
+def _march(config: SolverConfig, implicit: float,
+           memory: Optional[np.ndarray] = None,
            first: int = 1) -> SolutionHistory:
     """Step n = 1..N from the projected initial data (see module doc).
 
-    implicit must be positive.  memory[j] multiplies U_{n-j}; it needs
-    entries 0..N-first, and entry 0 is never read (its share sits in
-    `implicit`).  config is a SolverConfig or any run description with
-    the same grid and data fields.  Raises SolverError on a non-finite
-    snapshot.
+    config supplies the grid, horizon, initial data and source; its
+    exponent is not read here.  implicit must be positive.  memory[j]
+    multiplies U_{n-j}; it needs entries 0..N-first, and entry 0 is
+    never read (its share sits in `implicit`).  Raises SolverError on a
+    non-finite snapshot.
     """
     mesh, tau, N = config.mesh, config.tau, config.n_steps
     source = config.source

@@ -183,7 +183,7 @@ def test_cli_solve_and_figure1(tmp_path):
 
     fig = tmp_path / "fig.csv"
     rc = main(["figure1", "--N", "32", "--M", "8", "--T", "8.0",
-               "--exponent", "exp-figure1", "--out", str(fig)])
+               "--out", str(fig)])
     assert rc == 0
     lines = fig.read_text().splitlines()
     assert lines[0] == "t,heat,multiscale,subdiffusion"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from msdiff.errors import ValidationError
+from msdiff.exponents import zero_exponent
 from msdiff.fem import Mesh1D, discrete_l2_norm
-from msdiff.reference import (ConstantExponentConfig, cq_weights,
-                              constant_subdiffusion_solve,
+from msdiff.reference import (cq_weights, constant_subdiffusion_solve,
                               figure_transition_profiles, heat_solve)
 from msdiff.stepper import SolverConfig, solve
 
@@ -64,18 +64,17 @@ def test_cq_rejects_bad_order():
     with pytest.raises(ValidationError):
         cq_weights(1.2, 4)
     with pytest.raises(ValidationError):
-        ConstantExponentConfig(alpha_bar=0.0, T=1.0, n_steps=4,
-                               mesh=Mesh1D(4), initial=u0_sine)
+        constant_subdiffusion_solve(
+            SolverConfig(T=1.0, n_steps=4, mesh=Mesh1D(4),
+                         exponent=zero_exponent(), initial=u0_sine), 0.0)
 
 
 def test_subdiffusion_has_heavier_tail_than_heat(exp_zero):
     mesh = Mesh1D(16)
-    heat_cfg = SolverConfig(T=8.0, n_steps=256, mesh=mesh, exponent=exp_zero,
-                            initial=u0_sine)
-    sub_cfg = ConstantExponentConfig(alpha_bar=0.4, T=8.0, n_steps=256,
-                                     mesh=mesh, initial=u0_sine)
-    heat_final = heat_solve(heat_cfg).final()
-    sub_final = constant_subdiffusion_solve(sub_cfg).final()
+    cfg = SolverConfig(T=8.0, n_steps=256, mesh=mesh, exponent=exp_zero,
+                       initial=u0_sine)
+    heat_final = heat_solve(cfg).final()
+    sub_final = constant_subdiffusion_solve(cfg, 0.4).final()
     mid = mesh.n_unknowns // 2
     assert sub_final[mid] > heat_final[mid]
     assert sub_final[mid] > 1e-3  # algebraic tail, far above e^{-8 pi^2}

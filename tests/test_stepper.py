@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,7 @@ from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
 from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
                         discrete_l2_diff, discrete_l2_norm)
-from msdiff.reference import (ConstantExponentConfig,
-                              constant_subdiffusion_solve, heat_solve)
+from msdiff.reference import constant_subdiffusion_solve, heat_solve
 from msdiff.stepper import SolverConfig, sample_solution, solve
 from msdiff.weights import assemble_weights
 
@@ -56,11 +56,23 @@ def test_single_step_against_dense_oracle(exp_zero):
 
 
 def test_fickian_degeneration_matches_heat_solver(exp_zero):
-    cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(32), exponent=exp_zero,
-                       initial=u0_sine)
-    multi = solve(cfg)
-    heat = dense_history(cfg.mesh, cfg.tau, cfg.n_steps, u0_sine)
-    assert np.abs(multi.snapshots - heat).max() < 1e-14
+    # sin(pi x_j) is an eigenvector of both P1 matrices, so the exact
+    # discrete heat solution is r^n sin(pi x_j) with
+    # r = lam_M / (lam_M + tau lam_A), evaluated here in 40 digits
+    for m_cells, n_steps in ((32, 64), (64, 128), (128, 64)):
+        cfg = SolverConfig(T=1.0, n_steps=n_steps, mesh=Mesh1D(m_cells),
+                           exponent=exp_zero, initial=u0_sine)
+        with mpmath.workdps(40):
+            h, tau = mpmath.mpf(1) / m_cells, mpmath.mpf(1) / n_steps
+            lam_mass = h * (2 + mpmath.cospi(h)) / 3
+            lam_stiff = 4 * mpmath.sinpi(h / 2) ** 2 / h
+            r = lam_mass / (lam_mass + tau * lam_stiff)
+            exact = np.array([[float(r ** n * mpmath.sinpi(j * h))
+                               for j in range(1, m_cells)]
+                              for n in range(n_steps + 1)])
+        multi = solve(cfg)
+        assert np.abs(multi.snapshots - exact).max() < 1e-14, (m_cells,
+                                                               n_steps)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -71,8 +83,9 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
     tau = 1.0 / N
     # constant order: CQ weights (-1)^j binom(a, j), U_0 inside the sum
     scale = tau ** -alpha_bar
-    got = constant_subdiffusion_solve(ConstantExponentConfig(
-        alpha_bar=alpha_bar, T=1.0, n_steps=N, mesh=mesh, initial=u0_sine))
+    got = constant_subdiffusion_solve(SolverConfig(
+        T=1.0, n_steps=N, mesh=mesh, exponent=exponent_by_name("zero", 1.0),
+        initial=u0_sine), alpha_bar)
     want = dense_history(
         mesh, tau, N, u0_sine, implicit=scale,
         weight=lambda n, k: scale * (-1) ** (n - k) * binom(alpha_bar, n - k))
@@ -207,6 +220,9 @@ def test_prebuilt_weight_table_shortcut(exp_ex1):
     assert np.array_equal(a.snapshots, b.snapshots)
     with pytest.raises(ValidationError):
         solve(cfg, weights=assemble_weights(8, cfg.tau, exp_ex1))
+    # enough steps, but built for another step size
+    with pytest.raises(ValidationError, match="tau"):
+        solve(cfg, weights=assemble_weights(32, 1.0 / 32, exp_ex1))
 
 
 def test_sample_solution_interpolates(exp_zero):
