@@ -16,6 +16,7 @@ be numpy-vectorized (accept arrays, return arrays).
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,6 +31,7 @@ ZERO_DERIVATIVE_TOL = 1e-10
 
 _ALPHA_AT_ZERO_TOL = 1e-14
 _FD_REL_TOL = 1e-6
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 class CaseClass(enum.Enum):
@@ -78,18 +80,19 @@ def validate_assumption_a(exp: VariableExponent, T: float,
     """Check admissibility of an exponent on [0, T] and classify its case.
 
     Raises ValidationError when any clause fails: alpha(0) != 0,
-    alpha(t) outside [0, alpha_star], alpha_star >= 1, a derivative
-    exceeding deriv_bound, or a supplied derivative inconsistent with
-    central finite differences of alpha.  On success the case
+    alpha_star >= 1, a non-finite sample of alpha, alpha' or alpha'',
+    alpha(t) outside [0, alpha_star], a derivative exceeding
+    deriv_bound, or a supplied derivative inconsistent with central
+    finite differences of alpha.  On success the case
     classification is stored on the exponent and a report is returned.
     """
-    if not T > 0.0:
-        raise ValidationError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValidationError(f"horizon must be positive and finite, got {T}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
 
     a0 = float(exp.alpha(np.float64(0.0)))
-    if abs(a0) > _ALPHA_AT_ZERO_TOL:
+    if not abs(a0) <= _ALPHA_AT_ZERO_TOL:
         raise ValidationError(
             f"exponent {exp.name!r}: alpha(0) = {a0!r} must vanish")
 
@@ -102,6 +105,12 @@ def validate_assumption_a(exp: VariableExponent, T: float,
     a = np.asarray(exp.alpha(t), dtype=float)
     d1 = np.asarray(exp.alpha_d1(t), dtype=float)
     d2 = np.asarray(exp.alpha_d2(t), dtype=float)
+    for label, values in (("alpha", a), ("alpha'", d1), ("alpha''", d2)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValidationError(
+                f"exponent {exp.name!r}: {label} is not finite at "
+                f"t = {float(t[bad[0]])!r}")
 
     if a.min() < -1e-14 or a.max() > exp.alpha_star + 1e-12:
         raise ValidationError(
@@ -110,13 +119,14 @@ def validate_assumption_a(exp: VariableExponent, T: float,
 
     bound = exp.deriv_bound
     slack = 1e-9 * (1.0 + bound)
-    if np.abs(d1).max() > bound + slack or np.abs(d2).max() > bound + slack:
+    if not (np.abs(d1).max() <= bound + slack
+            and np.abs(d2).max() <= bound + slack):
         raise ValidationError(
             f"exponent {exp.name!r}: derivative bound {bound} violated "
             f"(max |a'| = {np.abs(d1).max()}, max |a''| = {np.abs(d2).max()})")
 
     fd_err_d1, fd_err_d2 = _finite_difference_check(exp, T)
-    if fd_err_d1 > _FD_REL_TOL or fd_err_d2 > _FD_REL_TOL:
+    if not (fd_err_d1 <= _FD_REL_TOL and fd_err_d2 <= _FD_REL_TOL):
         raise ValidationError(
             f"exponent {exp.name!r}: supplied derivatives disagree with "
             f"finite differences (rel errors {fd_err_d1:.2e}, {fd_err_d2:.2e})")
@@ -149,27 +159,42 @@ def classify_case(exp: VariableExponent) -> CaseClass:
 
 
 def _finite_difference_check(exp, T, n_points=41):
-    """Max scaled mismatch between supplied derivatives and central stencils."""
-    scale = max(T, 1.0)
-    h1 = 1e-6 * scale
-    h2 = 1e-4 * scale
-    lo, hi = 2.0 * h2, T - 2.0 * h2
-    if hi <= lo:  # extremely short horizon: shrink the stencil instead
-        h1, h2 = T * 1e-6, T * 1e-3
-        lo, hi = 2.0 * h2, T - 2.0 * h2
-    t = np.linspace(lo, hi, n_points)
+    """Scaled mismatch between supplied derivatives and central stencils.
 
-    fd1 = (np.asarray(exp.alpha(t + h1), float)
-           - np.asarray(exp.alpha(t - h1), float)) / (2.0 * h1)
+    Slot i of n_points holds two candidate times T (i + f) / n_points,
+    f = g and 1 - g for the golden ratio fraction g: irrational offsets
+    miss the knots of a table sampled at rational times, and one knot
+    cannot spoil both candidates (a spline's third derivative jumps at a
+    knot, where a central stencil is first order).  The steps h run
+    1e-2 max(T, 1) 10^-k, k = 0, 1, ..., down to 1e-5 T, for profiles on
+    a unit time scale and on the time scale T; t +- h may leave [0, T].
+    Each slot keeps its best candidate and step, so an exact derivative
+    matches where truncation and rounding error are both small and a
+    wrong one matches nowhere.  Returns the worst slot of
+    |fd - d| / max(1, max |d|), inf where every stencil is non-finite.
+    """
+    decades = 3 + math.ceil(max(0.0, -math.log10(T)))
+    h = 1e-2 * max(T, 1.0) * 10.0 ** -np.arange(decades + 1.0)[:, None]
+    slot = np.arange(n_points)
+    t = T / n_points * np.concatenate([slot + _GOLDEN, slot + 1.0 - _GOLDEN])
+    a = np.asarray(exp.alpha(t), float)
     d1 = np.asarray(exp.alpha_d1(t), float)
-    err1 = float(np.max(np.abs(fd1 - d1) / np.maximum(1.0, np.abs(d1))))
-
-    fd2 = (np.asarray(exp.alpha(t + h2), float)
-           - 2.0 * np.asarray(exp.alpha(t), float)
-           + np.asarray(exp.alpha(t - h2), float)) / (h2 * h2)
     d2 = np.asarray(exp.alpha_d2(t), float)
-    err2 = float(np.max(np.abs(fd2 - d2) / np.maximum(1.0, np.abs(d2))))
-    return err1, err2
+    shifted = np.concatenate([t + h, t - h])
+    up, down = np.split(
+        np.asarray(exp.alpha(shifted.ravel()), float).reshape(shifted.shape),
+        2)
+    with np.errstate(all="ignore"):
+        fd1 = (up - down) / (2.0 * h)
+        fd2 = (up - 2.0 * a + down) / (h * h)
+        return (_mismatch(fd1, d1, n_points), _mismatch(fd2, d2, n_points))
+
+
+def _mismatch(fd, d, n_points):
+    """Worst slot of the best candidate and step (fd rows are steps)."""
+    err = np.abs(fd - d)
+    err = np.where(np.isnan(err), np.inf, err).reshape(-1, n_points)
+    return float(err.min(axis=0).max() / max(1.0, float(np.abs(d).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +236,9 @@ def figure_transition_exponent(T: float = 8.0,
         raise ValidationError(
             f"terminal exponent must lie in (0, 1), got {alpha_end}")
     two_pi = 2.0 * math.pi
+    deriv_bound = max(2.0 * alpha_end / T, two_pi * alpha_end / T / T)
+    if not math.isfinite(deriv_bound):  # alpha'' overflows
+        raise ValidationError(f"final time {T} is too short for exp-figure1")
 
     def alpha(t):
         s = np.asarray(t, float) / T
@@ -230,7 +258,7 @@ def figure_transition_exponent(T: float = 8.0,
         alpha_d1=alpha_d1,
         alpha_d2=alpha_d2,
         alpha_star=alpha_end,
-        deriv_bound=max(2.0 * alpha_end / T, two_pi * alpha_end / (T * T)),
+        deriv_bound=deriv_bound,
     )
 
 
@@ -251,11 +279,11 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     """Cubic-spline exponent through user samples (t_i, alpha_i).
 
     The sample set must start at t = 0 with alpha = 0.  Derivatives are
-    the analytic spline derivatives; bounds are estimated on a dense
-    grid with a curvature-based pad so the sampled suprema stay below.
+    the analytic spline derivatives.  Bounds are taken on a dense grid
+    that includes the knots, where the piecewise-linear alpha'' peaks,
+    with a pad for alpha and alpha' from the next derivative, so the
+    suprema between grid points stay below them.
     """
-    from scipy.interpolate import CubicSpline
-
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     if times.ndim != 1 or times.size < 4:
@@ -265,36 +293,57 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     if np.any(np.diff(times) <= 0.0):
         raise ValidationError("sample times must be strictly increasing")
 
-    spline = CubicSpline(times, values)
+    spline = cubic_spline(times, values, f"exponent {name!r}")
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
 
-    grid = np.linspace(times[0], times[-1], 8193)
-    step = grid[1] - grid[0]
+    grid = np.union1d(np.linspace(times[0], times[-1], 8193), times)
+    gap2 = 0.125 * np.diff(grid).max() ** 2
     curve = float(np.abs(d2(grid)).max())
-    pad = 0.125 * step * step * curve + 1e-12
+    jerk = 6.0 * float(np.abs(spline.c[0]).max())  # max |alpha'''|
     return VariableExponent(
         name=name,
         alpha=spline,
         alpha_d1=d1,
         alpha_d2=d2,
-        alpha_star=float(spline(grid).max()) + pad,
-        deriv_bound=float(max(np.abs(d1(grid)).max(), curve)) + pad,
+        alpha_star=float(spline(grid).max()) + gap2 * curve + 1e-12,
+        deriv_bound=max(float(np.abs(d1(grid)).max()) + gap2 * jerk,
+                        curve) + 1e-12,
     )
+
+
+def cubic_spline(times, values, source: str):
+    """CubicSpline through the samples; ValidationError naming source if
+    the fit fails or overflows."""
+    from scipy.interpolate import CubicSpline
+
+    with np.errstate(all="ignore"):
+        try:
+            spline = CubicSpline(times, values)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise ValidationError(f"{source}: {err}") from err
+    if not np.all(np.isfinite(spline.c)):
+        raise ValidationError(f"{source}: the cubic spline overflows")
+    return spline
 
 
 def read_table_csv(path: str, columns: str) -> np.ndarray:
     """Rows of a two-column numeric CSV file ('#' starts a comment).
 
-    A file that cannot be read, holds non-numeric text or has another
-    column count raises ValidationError naming the file.
+    A file that cannot be read, holds non-numeric text, a non-finite
+    entry or another column count raises ValidationError naming the file.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#")
+        with warnings.catch_warnings():
+            # an empty file warns; the column check below reports it
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#")
     except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read table {path}: {err}") from err
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two columns {columns}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: non-finite entry in columns {columns}")
     return data
 
 
@@ -319,5 +368,8 @@ def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
                 f"{table_path}: the last exponent sample is at t = {last}, "
                 f"before the final time T = {T}; the spline would "
                 "extrapolate")
-        return tabulated_exponent(data[:, 0], data[:, 1])
+        try:
+            return tabulated_exponent(data[:, 0], data[:, 1])
+        except ValidationError as err:
+            raise ValidationError(f"{table_path}: {err}") from err
     raise ValidationError(f"unknown exponent profile {name!r}")

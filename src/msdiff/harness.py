@@ -22,7 +22,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .exponents import VariableExponent, exponent_by_name, read_table_csv
+from .exponents import (VariableExponent, cubic_spline, exponent_by_name,
+                        read_table_csv)
 from .fem import Mesh1D, discrete_l2_diff
 from .reference import ComparisonSeries, figure_transition_profiles
 from .stepper import SolverConfig, solve
@@ -112,8 +113,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown initial profile {self.u0!r}")
         for label, value in (("T", self.T), ("N", self.n_steps),
                              ("M", self.m_cells), ("levels", self.levels)):
-            if not value > 0:
-                raise ValidationError(f"{label} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{label} = {value} is not in (0, inf)")
         if self.kind in ("convergence-time", "convergence-space") \
                 and self.levels < 2:
             raise ValidationError(
@@ -134,14 +135,10 @@ class ExperimentConfig:
         if self.u0_table is None:
             raise ValidationError("this run needs --u0-table")
         data = read_table_csv(self.u0_table, "x,value")
-        from scipy.interpolate import CubicSpline
         if abs(data[0, 1]) > 1e-12 or abs(data[-1, 1]) > 1e-12:
             raise ValidationError(
                 f"{self.u0_table}: sampled initial data must vanish at the ends")
-        try:
-            return CubicSpline(data[:, 0], data[:, 1])
-        except ValueError as err:
-            raise ValidationError(f"{self.u0_table}: {err}") from err
+        return cubic_spline(data[:, 0], data[:, 1], self.u0_table)
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ def _attach_rates(kind, param_name, error_name, cfg, fixed, entries):
     for level, (param, err) in enumerate(entries):
         rate = None
         if prev is not None and err is not None \
-                and math.isfinite(prev) and math.isfinite(err) and err > 0:
+                and 0.0 < prev < math.inf and 0.0 < err < math.inf:
             rate = math.log2(prev / err)
         rows.append(RateRow(level=level, param=param,
                             error=math.nan if err is None else err,
@@ -357,15 +354,16 @@ def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
 
 
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
-    """Dump the full lower-triangular weight table as n,k,b rows."""
+    """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows."""
     exp = cfg.build_exponent()
     from .exponents import validate_assumption_a
     validate_assumption_a(exp, cfg.T)
-    table = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp)
+    lag = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp).tolist()
     out = io.StringIO()
     out.write("n,k,b\n")
-    for n, k, b in table.entries():
-        out.write(f"{n},{k},{b!r}\n")
+    for n in range(1, cfg.n_steps + 1):
+        for k in range(1, n + 1):
+            out.write(f"{n},{k},{lag[n - k]!r}\n")
     return out.getvalue()
 
 

@@ -9,8 +9,8 @@ where M and A are the P1 mass and stiffness matrices, F_n the load at
 t_n, c the implicit coefficient and w a lag-indexed memory vector.  The
 models differ only in c, w and whether U_0 enters the sum (`first`):
 
-- multiscale (`solve`): c = 1 + b(n, n), w the closed-form memory
-  weights, first = 1;
+- multiscale (`solve`): c = 1 + lag[0], w = lag, the closed-form memory
+  weights b(n, k) = lag[n - k], first = 1;
 - heat flow (`reference.heat_solve`): c = 1, no memory;
 - constant-order subdiffusion (`reference.constant_subdiffusion_solve`):
   c = tau^-a, w = tau^-a times the convolution-quadrature weights,
@@ -43,7 +43,7 @@ from .errors import SolverError, ValidationError
 from .exponents import VariableExponent, validate_assumption_a
 from .fem import (Mesh1D, dst1, load_vector, ritz_projection,
                   sine_eigenvalues)
-from .weights import WeightTable, assemble_weights
+from .weights import assemble_weights
 
 
 @dataclass
@@ -62,11 +62,13 @@ class SolverConfig:
     source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
-        if not self.T > 0.0:
-            raise ValidationError(f"final time must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValidationError(f"T = {self.T} is not in (0, inf)")
         if self.n_steps < 1:
             raise ValidationError(
                 f"need at least one time step, got {self.n_steps}")
+        if not self.tau >= np.finfo(float).tiny:  # else M/tau overflows
+            raise ValidationError(f"time step T/N = {self.tau} underflows")
 
     @property
     def tau(self) -> float:
@@ -91,33 +93,22 @@ class SolutionHistory:
         return self.snapshots[-1]
 
 
-def solve(config: SolverConfig,
-          weights: Optional[WeightTable] = None) -> SolutionHistory:
+def solve(config: SolverConfig) -> SolutionHistory:
     """Run the scheme over n = 1..N starting from the projected data.
 
-    The exponent is re-validated (cheap) unless a prebuilt weight table
-    is supplied by a caller that already did so; such a table must cover
-    at least N steps of this tau.  Raises SolverError on
-    a non-positive implicit coefficient 1 + w_diag or on a non-finite
+    Validates the exponent, assembles the lag vector of memory weights
+    and marches with implicit coefficient 1 + lag[0].  Raises
+    SolverError on a non-positive 1 + lag[0] or on a non-finite
     snapshot.
     """
-    tau, N = config.tau, config.n_steps
-    if weights is None:
-        validate_assumption_a(config.exponent, config.T)
-        weights = assemble_weights(N, tau, config.exponent)
-    elif weights.n_steps < N:
-        raise ValidationError(
-            f"weight table covers {weights.n_steps} steps, need {N}")
-    elif abs(weights.tau - tau) > 1e-12 * tau:
-        raise ValidationError(
-            f"weight table is built for tau = {weights.tau}, need {tau}")
-
-    implicit = 1.0 + weights.diagonal
+    validate_assumption_a(config.exponent, config.T)
+    lag = assemble_weights(config.n_steps, config.tau, config.exponent)
+    implicit = 1.0 + lag[0]
     if not implicit > 0.0:
         raise SolverError(
-            f"implicit memory coefficient 1 + {weights.diagonal} <= 0 at "
-            f"tau = {tau}; refine the time step")
-    return _march(config, implicit, weights.lag, first=1)
+            f"implicit memory coefficient 1 + {lag[0]} <= 0 at "
+            f"tau = {config.tau}; refine the time step")
+    return _march(config, implicit, lag, first=1)
 
 
 # rows per block when the coefficient history is turned back into nodal

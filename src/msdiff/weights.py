@@ -21,13 +21,11 @@ limits: x ln x -> 0 kills the second bracket of L (so L = tau (ln tau
 
 On the uniform time grid every quantity above depends on n and k only
 through the lag index j = n - k, so the lower-triangular weight table
-collapses to a single vector indexed by j.  WeightTable stores that
-vector and serves entries b(n, k) from it; dense() materialises the
-triangle when a full table is wanted.
+collapses to a single vector indexed by j: b(n, k) = lag[n - k].
+assemble_weights returns that lag vector.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,57 +84,11 @@ def memory_weight(n: int, k: int, tau: float, exp: VariableExponent) -> float:
     return (-d1 * log_m + smooth * pow_m) / gamma(1.0 - a)
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Memory weights for an N-step uniform grid, stored by lag.
-
-    lag[j] equals b(n, k) for every pair with n - k = j; valid entries
-    have 1 <= k <= n <= n_steps.
-    """
-
-    n_steps: int
-    tau: float
-    lag: np.ndarray
-
-    def b(self, n: int, k: int) -> float:
-        """Entry b(n, k) of the lower-triangular table."""
-        _check_panel(n, k, self.tau)
-        if n > self.n_steps:
-            raise ValidationError(
-                f"row {n} outside table with {self.n_steps} steps")
-        return float(self.lag[n - k])
-
-    def row(self, n: int) -> np.ndarray:
-        """Weights b(n, k) for k = 1..n (a reversed view of the lag vector)."""
-        if n < 1 or n > self.n_steps:
-            raise ValidationError(f"row {n} outside table")
-        return self.lag[:n][::-1]
-
-    @property
-    def diagonal(self) -> float:
-        """b(n, n), identical for every n."""
-        return float(self.lag[0])
-
-    def dense(self) -> np.ndarray:
-        """Materialise the (n_steps x n_steps) lower triangle; row n-1
-        holds b(n, 1..n)."""
-        N = self.n_steps
-        out = np.zeros((N, N))
-        for n in range(1, N + 1):
-            out[n - 1, :n] = self.row(n)
-        return out
-
-    def entries(self):
-        """Iterate (n, k, b) over all defined entries, row-major."""
-        for n in range(1, self.n_steps + 1):
-            for k in range(1, n + 1):
-                yield n, k, float(self.lag[n - k])
-
-
 def assemble_weights(n_steps: int, tau: float,
-                     exp: VariableExponent) -> WeightTable:
+                     exp: VariableExponent) -> np.ndarray:
     """Compute the lag vector for an N-step grid in one vectorised pass.
 
+    The result has n_steps entries, lag[j] = b(n, k) for n - k = j.
     Lag j is the panel (n, k) = (j + 1, 1) of memory_weight, evaluated
     for all lags at once with the exponent called on the lag array.
     The exponent is assumed admissible.  The first lag whose
@@ -177,4 +129,4 @@ def assemble_weights(n_steps: int, tau: float,
                 f"alpha = {a[j]!r}")
         raise SolverError(
             f"non-finite memory weight at lag {j} (n={j + 1}, k=1)")
-    return WeightTable(n_steps=n_steps, tau=tau, lag=lag)
+    return lag

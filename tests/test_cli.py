@@ -3,6 +3,8 @@
 import argparse
 import contextlib
 import io
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -82,6 +84,29 @@ def test_option_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, key,
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out.csv")]
+    # the built-in profiles validate on any horizon
+    assert main(["figure1", "--T", "0.1", "--N", "8", "--M", "4"] + out) == 0
+    # a zero error on the coarsest level leaves the first rate undefined
+    assert main(["convergence-space", "--T", "1e-100", "--N", "8", "--M",
+                 "4", "--levels", "2"] + out) == 0
+    # where alpha'' or M/tau would overflow, the input is refused
+    assert main(["solve", "--T", "1e-300", "--exponent", "exp-figure1"]
+                + out) == 2
+    assert main(["solve", "--T", "1e-310", "--N", "8"] + out) == 2
+    assert main(["figure1", "--T", "inf"] + out) == 2
+    assert main(["figure1", "--T", "1e308", "--N", "8", "--M", "4"]
+                + out) in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    # numpy prints no warning on the way
+    proc = subprocess.run(
+        [sys.executable, "-m", "msdiff", "solve", "--T", "1e-300", "--N",
+         "8", "--M", "4"] + out, capture_output=True, text=True)
+    assert proc.returncode in (0, 2)
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _write_tables(tmp_path):
     alpha = tmp_path / "alpha.csv"
     alpha.write_text("".join(f"{t},{0.05 * t}\n" for t in range(9)))
@@ -89,7 +114,10 @@ def _write_tables(tmp_path):
     u0.write_text("x,value\n0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n")
     bad = tmp_path / "bad.csv"
     bad.write_text("0,zero\n")
-    return [str(alpha), str(u0), str(bad), str(tmp_path / "missing.csv")]
+    nan = tmp_path / "nan.csv"
+    nan.write_text("0,0\n0.25,0.1\n0.5,nan\n0.75,0.1\n1,0\n")
+    return [str(alpha), str(u0), str(bad), str(nan),
+            str(tmp_path / "missing.csv")]
 
 
 def _values(key, tables, tmp_path):

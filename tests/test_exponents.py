@@ -118,6 +118,8 @@ def test_rejects_bad_sampling_parameters(exp_ex1):
     with pytest.raises(ValidationError):
         validate_assumption_a(exp_ex1, -1.0)
     with pytest.raises(ValidationError):
+        validate_assumption_a(exp_ex1, math.inf)
+    with pytest.raises(ValidationError):
         validate_assumption_a(exp_ex1, 1.0, n_samples=1)
 
 
@@ -143,6 +145,8 @@ def test_tabulated_exponent_rejects_bad_samples():
         tabulated_exponent([0.0, 0.5, 1.0], [0.0, 0.1, 0.2])  # too few
     with pytest.raises(ValidationError):
         tabulated_exponent([0.1, 0.5, 0.8, 1.0], [0.0, 0.1, 0.15, 0.2])
+    with pytest.raises(ValidationError, match="overflows"):
+        tabulated_exponent([0.0, 1e-200, 0.5, 1.0], [0.0, 0.1, 0.2, 0.3])
 
 
 def test_exponent_registry_names():
@@ -155,3 +159,75 @@ def test_exponent_registry_names():
         exponent_by_name("nope", 1.0)
     with pytest.raises(ValidationError):
         exponent_by_name("table", 1.0)  # missing sample file
+
+
+def test_tabulated_bounds_cover_the_knots():
+    # alpha'' of a cubic spline is linear between knots, so its peak
+    # sits on a knot that an evenly spaced grid can step over
+    exp = tabulated_exponent([0.0, 0.1, 0.3, 0.7, 1.0],
+                             [0.0, 0.1, 0.3, 0.6, 0.8])
+    report = validate_assumption_a(exp, 1.0)
+    assert report.max_abs_d2 <= exp.deriv_bound
+
+
+@pytest.mark.parametrize("which,label", [("alpha", "alpha"),
+                                         ("alpha_d1", "alpha'"),
+                                         ("alpha_d2", "alpha''")])
+def test_rejects_non_finite_samples(which, label):
+    # NaN fails every comparison, so range, bound and stencil checks
+    # alone would let it through
+    exp = example_exponent_1(1.0)
+    clean = getattr(exp, which)
+
+    def holed(t):
+        t = np.asarray(t, float)
+        return np.where(np.abs(t - 0.5) < 0.01, np.nan, clean(t))
+
+    setattr(exp, which, holed)
+    with pytest.raises(ValidationError,
+                       match=f"{label} is not finite at t = 0.49"):
+        validate_assumption_a(exp, 1.0)
+
+
+@pytest.mark.parametrize("T", [1e-12, 1e-8, 1e-4, 1e-2, 0.1, 1.0])
+@pytest.mark.parametrize("name", ["exp-example1", "exp-example2",
+                                  "exp-figure1", "zero"])
+def test_builtin_profiles_validate_on_any_horizon(name, T):
+    report = validate_assumption_a(exponent_by_name(name, T), T)
+    assert report.fd_err_d1 <= 1e-6 and report.fd_err_d2 <= 1e-6
+
+
+@pytest.mark.parametrize("name,T", [
+    ("exp-example1", 0.01), ("exp-example1", 1.0), ("exp-example1", 8.0),
+    ("exp-example2", 0.01), ("exp-example2", 1.0),
+    ("exp-figure1", 0.01), ("exp-figure1", 1.0), ("exp-figure1", 8.0),
+])
+@pytest.mark.parametrize("which", ["alpha_d1", "alpha_d2"])
+def test_rejects_derivative_off_by_two(name, T, which):
+    exp = exponent_by_name(name, T)
+    exact = getattr(exp, which)
+    setattr(exp, which, lambda t: 2.0 * exact(t))
+    exp.deriv_bound *= 2.0  # leave the stencil check to find it
+    with pytest.raises(ValidationError, match="finite differences"):
+        validate_assumption_a(exp, T)
+
+
+def test_stencils_may_leave_the_horizon():
+    # undefined before t = 0: the coarse steps of the points near 0 see
+    # NaN, the fine ones match
+    exp = VariableExponent(
+        name="one-sided",
+        alpha=lambda t: np.where(np.asarray(t, float) < 0.0, np.nan,
+                                 0.5 * np.asarray(t, float)),
+        alpha_d1=lambda t: 0.5 + 0.0 * np.asarray(t, float),
+        alpha_d2=lambda t: 0.0 * np.asarray(t, float),
+        alpha_star=0.5e-3,
+        deriv_bound=0.5,
+    )
+    report = validate_assumption_a(exp, 1e-3)
+    assert report.fd_err_d1 <= 1e-6 and report.fd_err_d2 <= 1e-6
+
+
+def test_figure_profile_rejects_a_horizon_whose_curvature_overflows():
+    with pytest.raises(ValidationError, match="too short"):
+        figure_transition_exponent(1e-300, 0.4)

@@ -200,7 +200,15 @@ def test_cli_validation_failure_exits_2(capsys):
     ["--exponent", "table", "--exponent-table"],
     ["--u0", "custom-table", "--u0-table"],
 ])
-@pytest.mark.parametrize("content", [None, "t,alpha\n0,zero\n"])
+@pytest.mark.parametrize("content", [
+    None,
+    "t,alpha\n0,zero\n",
+    "0,0\n0.25,0.1\n0.5,nan\n0.75,0.1\n1,0\n",
+    "0,0\n0.25,0.1\n0.5,0.1\n0.75,0.1\ninf,0\n",
+    "0,0\n5e-324,0\n1e-323,0\n1,0\n",
+    "# no rows\n",
+])
+@pytest.mark.filterwarnings("error")
 def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):
     path = tmp_path / "table.csv"
     if content is not None:

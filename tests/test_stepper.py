@@ -27,6 +27,9 @@ def test_config_validation(exp_zero):
     with pytest.raises(ValidationError):
         SolverConfig(T=1.0, n_steps=0, mesh=Mesh1D(4), exponent=exp_zero,
                      initial=u0_sine)
+    with pytest.raises(ValidationError, match="underflows"):
+        SolverConfig(T=1e-310, n_steps=8, mesh=Mesh1D(4), exponent=exp_zero,
+                     initial=u0_sine)
     cfg = SolverConfig(T=1.0, n_steps=8, mesh=Mesh1D(4), exponent=exp_zero,
                        initial=u0_sine)
     assert cfg.tau * cfg.n_steps == pytest.approx(1.0, abs=1e-15)
@@ -90,15 +93,15 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
         mesh, tau, N, u0_sine, implicit=scale,
         weight=lambda n, k: scale * (-1) ** (n - k) * binom(alpha_bar, n - k))
     assert np.abs(got.snapshots - want).max() <= 1e-12
-    # multiscale: row n-1 of the dense table holds b(n, 1..n)
+    # multiscale: b(n, k) = lag[n - k]
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
         exp = exponent_by_name(name, 1.0, alpha_bar)
         got = solve(SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp,
                                  initial=u0_sine))
-        table = assemble_weights(N, tau, exp).dense()
+        lag = assemble_weights(N, tau, exp)
         want = dense_history(
-            mesh, tau, N, u0_sine, implicit=1.0 + table[0, 0],
-            weight=lambda n, k: table[n - 1, k - 1] if k else 0.0)
+            mesh, tau, N, u0_sine, implicit=1.0 + lag[0],
+            weight=lambda n, k: lag[n - k] if k else 0.0)
         assert np.abs(got.snapshots - want).max() <= 1e-12, name
 
 
@@ -112,10 +115,10 @@ def test_source_term_matches_dense_oracle(N, M, exp_ex1):
     tau = 1.0 / N
     cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp_ex1,
                        initial=u0_sine, source=source)
-    table = assemble_weights(N, tau, exp_ex1).dense()
+    lag = assemble_weights(N, tau, exp_ex1)
     want = dense_history(
-        mesh, tau, N, u0_sine, implicit=1.0 + table[0, 0],
-        weight=lambda n, k: table[n - 1, k - 1] if k else 0.0, source=source)
+        mesh, tau, N, u0_sine, implicit=1.0 + lag[0],
+        weight=lambda n, k: lag[n - k] if k else 0.0, source=source)
     assert np.abs(solve(cfg).snapshots - want).max() <= 1e-12
     want = dense_history(mesh, tau, N, u0_sine, source=source)
     assert np.abs(heat_solve(cfg).snapshots - want).max() <= 1e-12
@@ -205,24 +208,9 @@ def test_stepping_matrix_solvable_across_parameters(exp_ex1, exp_ex2,
             for m_cells in (4, 32):
                 cfg = SolverConfig(T=T, n_steps=N, mesh=Mesh1D(m_cells),
                                    exponent=exp, initial=u0_sine)
-                table = assemble_weights(N, cfg.tau, exp)
-                assert 1.0 + table.diagonal > 0.0
-                hist = solve(cfg, weights=table)
+                assert 1.0 + assemble_weights(N, cfg.tau, exp)[0] > 0.0
+                hist = solve(cfg)
                 assert np.all(np.isfinite(hist.snapshots))
-
-
-def test_prebuilt_weight_table_shortcut(exp_ex1):
-    cfg = SolverConfig(T=1.0, n_steps=16, mesh=Mesh1D(8), exponent=exp_ex1,
-                       initial=u0_sine)
-    table = assemble_weights(16, cfg.tau, exp_ex1)
-    a = solve(cfg)
-    b = solve(cfg, weights=table)
-    assert np.array_equal(a.snapshots, b.snapshots)
-    with pytest.raises(ValidationError):
-        solve(cfg, weights=assemble_weights(8, cfg.tau, exp_ex1))
-    # enough steps, but built for another step size
-    with pytest.raises(ValidationError, match="tau"):
-        solve(cfg, weights=assemble_weights(32, 1.0 / 32, exp_ex1))
 
 
 def test_sample_solution_interpolates(exp_zero):
