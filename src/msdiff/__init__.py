@@ -30,7 +30,6 @@ from .reference import (ComparisonSeries, cq_weights,
 from .special import EULER_GAMMA, digamma, gamma
 from .stepper import (SolutionHistory, SolverConfig, sample_series,
                       sample_solution, solve)
-from .weights import (assemble_weights, memory_weight, weight_log_moment,
-                      weight_power_moment, weight_smooth_factor)
+from .weights import assemble_weights
 
 __version__ = "0.1.0"

@@ -31,6 +31,8 @@ ZERO_DERIVATIVE_TOL = 1e-10
 
 _ALPHA_AT_ZERO_TOL = 1e-14
 _FD_REL_TOL = 1e-6
+# uniform sample grid of the range, bound and finiteness checks
+_N_SAMPLES = 2001
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -65,7 +67,6 @@ class ValidationReport:
 
     name: str
     horizon: float
-    n_samples: int
     alpha_at_zero: float
     max_alpha: float
     max_abs_d1: float
@@ -75,8 +76,7 @@ class ValidationReport:
     case_class: CaseClass
 
 
-def validate_assumption_a(exp: VariableExponent, T: float,
-                          n_samples: int = 2001) -> ValidationReport:
+def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
     """Check admissibility of an exponent on [0, T] and classify its case.
 
     Raises ValidationError when any clause fails: alpha(0) != 0,
@@ -88,8 +88,6 @@ def validate_assumption_a(exp: VariableExponent, T: float,
     """
     if not 0.0 < T < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {T}")
-    if n_samples < 2:
-        raise ValidationError(f"need at least 2 samples, got {n_samples}")
 
     a0 = float(exp.alpha(np.float64(0.0)))
     if not abs(a0) <= _ALPHA_AT_ZERO_TOL:
@@ -101,7 +99,7 @@ def validate_assumption_a(exp: VariableExponent, T: float,
             f"exponent {exp.name!r}: alpha_star = {exp.alpha_star} "
             "must lie in [0, 1)")
 
-    t = np.linspace(0.0, T, n_samples)
+    t = np.linspace(0.0, T, _N_SAMPLES)
     a = np.asarray(exp.alpha(t), dtype=float)
     d1 = np.asarray(exp.alpha_d1(t), dtype=float)
     d2 = np.asarray(exp.alpha_d2(t), dtype=float)
@@ -136,7 +134,6 @@ def validate_assumption_a(exp: VariableExponent, T: float,
     return ValidationReport(
         name=exp.name,
         horizon=T,
-        n_samples=n_samples,
         alpha_at_zero=a0,
         max_alpha=float(a.max()),
         max_abs_d1=float(np.abs(d1).max()),
@@ -235,6 +232,8 @@ def figure_transition_exponent(T: float = 8.0,
     if not 0.0 < alpha_end < 1.0:
         raise ValidationError(
             f"terminal exponent must lie in (0, 1), got {alpha_end}")
+    if not 0.0 < T < math.inf:
+        raise ValidationError(f"final time must lie in (0, inf), got {T}")
     two_pi = 2.0 * math.pi
     deriv_bound = max(2.0 * alpha_end / T, two_pi * alpha_end / T / T)
     if not math.isfinite(deriv_bound):  # alpha'' overflows

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here re-derives quantities along a route different from the
-library code: brute-force quadrature of defining integrals, dense
-Gaussian elimination, a Lanczos gamma independent of math.gamma,
+library code: brute-force quadrature of defining integrals, 40-digit
+evaluation of the closed-form memory weights, dense Gaussian
+elimination, a Lanczos gamma independent of math.gamma,
 high-resolution quadrature of interpolants, and a dense time-stepping
 loop that shares nothing with the library's marcher beyond the P1
 matrices and load vector.
@@ -11,6 +12,7 @@ matrices and load vector.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -103,6 +105,47 @@ def quad_memory_weight(n: int, k: int, tau: float, exp) -> float:
                           limit=200)
         return val
     return dyadic_quad(integrand, 0.0, tau)
+
+
+def mp_lag_weights(tau: float, exp, lags) -> np.ndarray:
+    """Lag weights lag[j], j in lags, in 40-digit arithmetic.
+
+    The exponent is sampled as assemble_weights samples it: alpha and
+    alpha' at the float64 lag times j * tau (one array call) and
+    alpha'(0).  From those samples on, everything is evaluated in
+    mpmath from the defining difference form, with d = j tau and
+    e = d + tau exact and a = alpha(d):
+
+        L = [e^(1-a) (ln e - 1/(1-a)) - d^(1-a) (ln d - 1/(1-a))] / (1-a),
+        P = (e^(1-a) - d^(1-a)) / (1-a),
+        R = -a/d + psi(1 - a) alpha'(d),
+        lag[j] = (-alpha'(d) L + R P) / Gamma(1 - a).
+
+    Lag 0 takes the limit d^(1-a) ln d -> 0 and R = -alpha'(0) +
+    psi(1 - a) alpha'(0).
+    """
+    lags = np.asarray(lags, int)
+    times = tau * lags.astype(float)
+    a_s = np.broadcast_to(np.asarray(exp.alpha(times), float), times.shape)
+    d1_s = np.broadcast_to(np.asarray(exp.alpha_d1(times), float),
+                           times.shape)
+    d1_zero = float(exp.alpha_d1(np.zeros(1))[0])
+    out = np.empty(lags.size)
+    with mpmath.workdps(40):
+        for i, j in enumerate(lags.tolist()):
+            a, d1 = mpmath.mpf(float(a_s[i])), mpmath.mpf(float(d1_s[i]))
+            c = 1 - a
+            d, e = j * mpmath.mpf(tau), (j + 1) * mpmath.mpf(tau)
+            log_m = e ** c * (mpmath.log(e) - 1 / c) / c
+            pow_m = e ** c / c
+            if j == 0:
+                smooth = -mpmath.mpf(d1_zero) + mpmath.digamma(c) * d1
+            else:
+                log_m -= d ** c * (mpmath.log(d) - 1 / c) / c
+                pow_m -= d ** c / c
+                smooth = -a / d + mpmath.digamma(c) * d1
+            out[i] = float((-d1 * log_m + smooth * pow_m) / mpmath.gamma(c))
+    return out
 
 
 def dense_from_tridiag(mat) -> np.ndarray:

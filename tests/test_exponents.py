@@ -119,8 +119,6 @@ def test_rejects_bad_sampling_parameters(exp_ex1):
         validate_assumption_a(exp_ex1, -1.0)
     with pytest.raises(ValidationError):
         validate_assumption_a(exp_ex1, math.inf)
-    with pytest.raises(ValidationError):
-        validate_assumption_a(exp_ex1, 1.0, n_samples=1)
 
 
 def test_example2_invalid_beyond_pi():
@@ -231,3 +229,9 @@ def test_stencils_may_leave_the_horizon():
 def test_figure_profile_rejects_a_horizon_whose_curvature_overflows():
     with pytest.raises(ValidationError, match="too short"):
         figure_transition_exponent(1e-300, 0.4)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_figure_profile_rejects_horizons_outside_the_positive_reals(T):
+    with pytest.raises(ValidationError, match="final time"):
+        figure_transition_exponent(T, 0.4)

@@ -5,8 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msdiff.exponents import tabulated_exponent, validate_assumption_a
+from msdiff.fem import Mesh1D, discrete_l2_norm
 from msdiff.harness import RateRow, RateTable, emit_table, parse_rate_table
-from msdiff.weights import assemble_weights, memory_weight
+from msdiff.stepper import SolverConfig, solve
+from msdiff.weights import assemble_weights
+
+from oracles import mp_lag_weights
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
@@ -25,22 +29,53 @@ def spline_tables(draw):
     return times, values
 
 
-@_SETTINGS
-@given(table=spline_tables(), n_steps=st.integers(1, 64))
-def test_random_spline_exponents_validate_and_weigh(table, n_steps):
+def admissible_spline(table):
+    """(exponent, horizon) of a drawn table; rejects the draw unless the
+    spline stays in [0, 1) (rising samples do not guarantee that)."""
     times, values = table
     exp = tabulated_exponent(times, values)
     T = float(times[-1])
-    # rising samples do not keep a cubic spline inside [0, 1)
     assume(exp.alpha(np.linspace(0.0, T, 4001)).min() >= 0.0
            and exp.alpha_star < 1.0)
+    return exp, T
+
+
+@_SETTINGS
+@given(table=spline_tables(), n_steps=st.integers(1, 64))
+def test_random_spline_exponents_validate_and_weigh(table, n_steps):
+    exp, T = admissible_spline(table)
     validate_assumption_a(exp, T)
     tau = T / n_steps
     lag = assemble_weights(n_steps, tau, exp)
     assert lag.shape == (n_steps,) and np.all(np.isfinite(lag))
-    want = np.array([memory_weight(j + 1, 1, tau, exp)
-                     for j in range(n_steps)])
-    assert np.abs(lag - want).max() <= 1e-12 * np.abs(want).max()
+    want = mp_lag_weights(tau, exp, np.arange(n_steps))
+    assert np.abs(lag - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@_SETTINGS
+@given(table=spline_tables(), n_steps=st.integers(1, 64),
+       m_cells=st.integers(2, 32),
+       modes=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+       .filter(lambda c: max(map(abs, c)) > 0.1))
+def test_solution_norm_never_exceeds_initial_norm(table, n_steps, m_cells,
+                                                  modes):
+    # each sine mode obeys (mu + c lam) u_n = mu u_{n-1}
+    # - lam sum_j lag[j] u_{n-j} with c = 1 + lag[0] and mu, lam > 0, so
+    # c >= sum_{j>=1} |lag[j]| keeps |u_n| <= max_{k<n} |u_k| in every
+    # mode; without it coarse steps do grow (6.3x at N = 2, c = 0.14)
+    exp, T = admissible_spline(table)
+    lag = assemble_weights(n_steps, T / n_steps, exp)
+    assume(1.0 + lag[0] >= np.abs(lag[1:]).sum())
+
+    def initial(x):
+        return sum(c * np.sin((k + 1) * np.pi * x)
+                   for k, c in enumerate(modes))
+
+    config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
+                          exponent=exp, initial=initial)
+    snaps = solve(config).snapshots
+    norms = [discrete_l2_norm(u, config.mesh.h) for u in snaps]
+    assert max(norms) <= norms[0]
 
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)

@@ -1,75 +1,69 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import VariableExponent
-from msdiff.kernel import kernel_prefactor
+from msdiff.kernel import kernel_prefactor, smooth_factor
 from msdiff.special import EULER_GAMMA
-from msdiff.weights import (assemble_weights, memory_weight,
-                            weight_log_moment, weight_power_moment,
-                            weight_smooth_factor)
+from msdiff.weights import assemble_weights
 
-from oracles import quad_memory_weight
+from oracles import mp_lag_weights, quad_memory_weight
 
 
-def test_log_moment_zero_exponent_reduces_to_log_integral(exp_zero):
-    # int_0^{0.1} ln(0.3 - s) ds = 0.3(ln 0.3 - 1) - 0.2(ln 0.2 - 1)
+# alpha = 0 with alpha' = 1 (a probe, not an admissible exponent): every
+# panel has P = tau, L = int ln x dx and R = psi(1) = -euler_gamma, and
+# the diagonal R(0) = -(1 + euler_gamma), so each lag has a closed form
+_LOG_PROBE = VariableExponent(
+    name="log-probe", alpha=np.zeros_like, alpha_d1=np.ones_like,
+    alpha_d2=np.zeros_like, alpha_star=0.0, deriv_bound=1.0)
+
+
+def _log_integral(lo, hi):
+    return hi * (math.log(hi) - 1.0) - (lo * (math.log(lo) - 1.0)
+                                        if lo > 0.0 else 0.0)
+
+
+def test_log_moment_zero_exponent_reduces_to_log_integral():
+    # int_{0.2}^{0.3} ln x dx = 0.3(ln 0.3 - 1) - 0.2(ln 0.2 - 1)
     expected = 0.3 * (math.log(0.3) - 1.0) - 0.2 * (math.log(0.2) - 1.0)
-    assert weight_log_moment(3, 1, 0.1, exp_zero) == pytest.approx(
-        expected, rel=1e-14)
+    lag = assemble_weights(3, 0.1, _LOG_PROBE)
+    assert lag[2] == pytest.approx(-expected - EULER_GAMMA * 0.1, rel=1e-14)
 
 
 def test_log_moment_diagonal_limit(exp_ex1):
-    # x ln x -> 0 kills the lower bracket: tau (ln tau - 1)
+    # x ln x -> 0 kills the lower bracket: L = tau (ln tau - 1); with
+    # alpha(0) = 0, alpha'(0) = 1, P = tau and R(0) = -(1 + euler_gamma)
     tau = 0.25
-    expected = tau * (math.log(tau) - 1.0)
-    assert weight_log_moment(5, 5, tau, exp_ex1) == pytest.approx(
+    expected = -tau * (math.log(tau) - 1.0) - (1.0 + EULER_GAMMA) * tau
+    assert assemble_weights(4, tau, exp_ex1)[0] == pytest.approx(
         expected, rel=1e-14)
 
 
-def test_power_moment_diagonal_and_flat(exp_ex1, exp_zero):
-    assert weight_power_moment(7, 7, 0.5, exp_ex1) == pytest.approx(0.5)
-    for n, k in ((3, 1), (10, 4)):
-        assert weight_power_moment(n, k, 0.125, exp_zero) == pytest.approx(
-            0.125, rel=1e-14)
+def test_power_moment_diagonal_and_flat():
+    tau = 0.125
+    lag = assemble_weights(10, tau, _LOG_PROBE)
+    want = [-_log_integral(j * tau, (j + 1) * tau)
+            - (EULER_GAMMA + (j == 0)) * tau for j in range(10)]
+    assert lag == pytest.approx(want, rel=1e-14)
 
 
 def test_smooth_factor_trivial_and_diagonal(exp_zero, exp_ex1):
-    assert weight_smooth_factor(4, 2, 0.25, exp_zero) == 0.0
+    assert smooth_factor(exp_zero, 0.25) == 0.0
     # alpha'(0) = 1 for 1 - exp(-t): R_diag = -(1 + euler_gamma)
-    assert weight_smooth_factor(6, 6, 0.1, exp_ex1) == pytest.approx(
+    assert smooth_factor(exp_ex1, 0.0) == pytest.approx(
         -(1.0 + EULER_GAMMA), abs=1e-13)
 
 
 def test_smooth_factor_against_high_precision(exp_ex1):
-    # n - k = 4 at tau = 1/8: lag 0.5
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    a = mp.mpf(1) - mp.e ** (-mp.mpf(1) / 2)
-    d1 = mp.e ** (-mp.mpf(1) / 2)
-    oracle = float(-a / mp.mpf("0.5") + mp.digamma(1 - a) * d1)
-    assert weight_smooth_factor(5, 1, 0.125, exp_ex1) == pytest.approx(
-        oracle, rel=1e-13)
-
-
-@pytest.mark.parametrize("n,k,tau", [(0, 1, 0.1), (3, 4, 0.1), (3, 0, 0.1),
-                                     (3, 1, 0.0), (3, 1, -0.5)])
-def test_index_validation(exp_ex1, n, k, tau):
-    for fn in (weight_log_moment, weight_power_moment, weight_smooth_factor,
-               memory_weight):
-        with pytest.raises(ValidationError):
-            fn(n, k, tau, exp_ex1)
-
-
-def test_single_weights_match_quadrature(exp_ex1, exp_ex2):
-    w = memory_weight(5, 2, 0.125, exp_ex1)
-    assert w == pytest.approx(quad_memory_weight(5, 2, 0.125, exp_ex1),
-                              rel=1e-10)
-    w = memory_weight(10, 3, 1.0 / 16.0, exp_ex2)
-    assert w == pytest.approx(quad_memory_weight(10, 3, 1.0 / 16.0, exp_ex2),
-                              rel=1e-10)
+    # lag 0.5
+    with mp.workdps(40):
+        a = mp.mpf(1) - mp.e ** (-mp.mpf(1) / 2)
+        d1 = mp.e ** (-mp.mpf(1) / 2)
+        oracle = float(-a / mp.mpf("0.5") + mp.digamma(1 - a) * d1)
+    assert smooth_factor(exp_ex1, 0.5) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_assembled_table_matches_quadrature_everywhere(exp_ex1):
@@ -96,18 +90,18 @@ def test_table_entries_finite_for_all_profiles(exp_ex1, exp_ex2, exp_fig1,
         assert np.all(np.isfinite(lag))
 
 
-@pytest.mark.parametrize("N", [1, 7, 1024])
+@pytest.mark.parametrize("N", [1, 7, 1024, 65536])
 def test_vectorised_assembly_matches_scalar_weights(exp_ex1, exp_ex2,
                                                     exp_fig1, N):
-    # the array pass reorders no sums, but numpy's array log and pow
-    # may differ from libm by an ulp, and the log moment cancels at
-    # large lags by up to a factor of order N
+    # lag 0 and 40 log-spaced lags (every lag for small N) against the
+    # 40-digit evaluation of the same float64 exponent samples; the
+    # plain differences e^(1-a) - d^(1-a) in L and P read 1.5e-12 to
+    # 3.7e-12 here at N = 65536 and 2.7e-14 to 1.1e-13 at N = 1024
+    lags = np.unique(np.geomspace(1, N, 40).astype(int) - 1)
     for exp, T in ((exp_ex1, 1.0), (exp_ex2, 1.0), (exp_fig1, 8.0)):
-        tau = T / N
-        got = assemble_weights(N, tau, exp)
-        want = np.array([memory_weight(j + 1, 1, tau, exp)
-                         for j in range(N)])
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got = assemble_weights(N, T / N, exp)
+        want = mp_lag_weights(T / N, exp, lags)
+        assert np.abs(got[lags] - want).max() <= 1e-14 * np.abs(got).max()
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -141,11 +135,11 @@ def test_envelope_bound_stable_under_step_halving(exp_ex1):
 
 
 def test_entries_depend_only_on_node_times(exp_ex1):
-    # shifting both indices leaves the weight unchanged (uniform grid)
+    # b(n, k) depends on the lag alone, so a longer grid with the same
+    # step only appends lags
     tau = 0.125
-    for n, k in ((3, 1), (5, 2), (8, 8)):
-        assert memory_weight(n, k, tau, exp_ex1) == memory_weight(
-            n + 5, k + 5, tau, exp_ex1)
+    assert np.array_equal(assemble_weights(8, tau, exp_ex1),
+                          assemble_weights(13, tau, exp_ex1)[:8])
 
 
 def test_row_sums_approach_kernel_integral(exp_ex1):
