@@ -16,14 +16,14 @@ from .exponents import (CaseClass, ValidationReport, VariableExponent,
                         tabulated_exponent, validate_assumption_a,
                         zero_exponent)
 from .fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                  assemble_stiffness, discrete_l2_diff, discrete_l2_norm,
-                  load_vector, ritz_projection, tridiag_solve)
+                  assemble_stiffness, discrete_l2_norm, load_vector,
+                  ritz_projection)
 from .harness import (ExperimentConfig, RateRow, RateTable, emit_table,
                       format_sig5, parse_rate_table, run_convergence_space,
                       run_convergence_time, run_figure_comparison,
                       run_single_solve)
-from .kernel import (KernelEvaluation, evaluate_kernel, kernel_prefactor,
-                     kernel_value, log_derivative_factor, smooth_factor)
+from .kernel import (kernel_prefactor, kernel_value, log_derivative_factor,
+                     smooth_factor)
 from .reference import (ComparisonSeries, cq_weights,
                         constant_subdiffusion_solve, figure_transition_profiles,
                         heat_solve)

@@ -8,7 +8,7 @@ Each subcommand takes exactly the flags of the options its kind reads
 `--alpha-end`.  Config files are flat 'key = value' text with the same
 keys, and a flag overrides the file.  A flag or key the kind does not
 read is invalid input.  Exit codes: 0 success, 2 invalid input,
-3 solver failure.
+3 solver failure (including running out of memory).
 """
 
 import argparse
@@ -61,8 +61,9 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"msd: invalid input: {err}", file=sys.stderr)
         return 2
-    except SolverError as err:
-        print(f"msd: solver failure: {err}", file=sys.stderr)
+    except (SolverError, MemoryError) as err:
+        print(f"msd: solver failure: {str(err) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     return 0
 

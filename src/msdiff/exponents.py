@@ -33,6 +33,8 @@ _ALPHA_AT_ZERO_TOL = 1e-14
 _FD_REL_TOL = 1e-6
 # uniform sample grid of the range, bound and finiteness checks
 _N_SAMPLES = 2001
+# slots of the finite-difference check, two candidate times each
+_N_FD_SLOTS = 41
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -40,7 +42,6 @@ class CaseClass(enum.Enum):
     CASE1 = "case1"
     CASE2 = "case2"
     CASE3 = "case3"
-    UNCLASSIFIED = "unclassified"
 
 
 @dataclass
@@ -48,8 +49,7 @@ class VariableExponent:
     """alpha(t) together with its first two derivatives and bounds.
 
     alpha_star bounds alpha from above on [0, T]; deriv_bound bounds
-    |alpha'| and |alpha''|.  case_class is filled in by
-    validate_assumption_a.
+    |alpha'| and |alpha''|.
     """
 
     name: str
@@ -58,7 +58,6 @@ class VariableExponent:
     alpha_d2: Callable[[np.ndarray], np.ndarray]
     alpha_star: float
     deriv_bound: float
-    case_class: CaseClass = CaseClass.UNCLASSIFIED
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
     alpha_star >= 1, a non-finite sample of alpha, alpha' or alpha'',
     alpha(t) outside [0, alpha_star], a derivative exceeding
     deriv_bound, or a supplied derivative inconsistent with central
-    finite differences of alpha.  On success the case
-    classification is stored on the exponent and a report is returned.
+    finite differences of alpha.  On success returns a report that
+    carries the case classification.
     """
     if not 0.0 < T < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {T}")
@@ -130,7 +129,6 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
             f"finite differences (rel errors {fd_err_d1:.2e}, {fd_err_d2:.2e})")
 
     case = classify_case(exp)
-    exp.case_class = case
     return ValidationReport(
         name=exp.name,
         horizon=T,
@@ -155,25 +153,27 @@ def classify_case(exp: VariableExponent) -> CaseClass:
     return CaseClass.CASE3
 
 
-def _finite_difference_check(exp, T, n_points=41):
+def _finite_difference_check(exp, T):
     """Scaled mismatch between supplied derivatives and central stencils.
 
-    Slot i of n_points holds two candidate times T (i + f) / n_points,
-    f = g and 1 - g for the golden ratio fraction g: irrational offsets
-    miss the knots of a table sampled at rational times, and one knot
-    cannot spoil both candidates (a spline's third derivative jumps at a
-    knot, where a central stencil is first order).  The steps h run
-    1e-2 max(T, 1) 10^-k, k = 0, 1, ..., down to 1e-5 T, for profiles on
-    a unit time scale and on the time scale T; t +- h may leave [0, T].
-    Each slot keeps its best candidate and step, so an exact derivative
-    matches where truncation and rounding error are both small and a
-    wrong one matches nowhere.  Returns the worst slot of
-    |fd - d| / max(1, max |d|), inf where every stencil is non-finite.
+    Slot i of the _N_FD_SLOTS slots holds two candidate times
+    T (i + f) / _N_FD_SLOTS, f = g and 1 - g for the golden ratio
+    fraction g: irrational offsets miss the knots of a table sampled at
+    rational times, and one knot cannot spoil both candidates (a
+    spline's third derivative jumps at a knot, where a central stencil
+    is first order).  The steps h run 1e-2 max(T, 1) 10^-k, k = 0, 1,
+    ..., down to 1e-5 T, for profiles on a unit time scale and on the
+    time scale T; t +- h may leave [0, T].  Each slot keeps its best
+    candidate and step, so an exact derivative matches where truncation
+    and rounding error are both small and a wrong one matches nowhere.
+    Returns the worst slot of |fd - d| / max(1, max |d|), inf where
+    every stencil is non-finite.
     """
     decades = 3 + math.ceil(max(0.0, -math.log10(T)))
     h = 1e-2 * max(T, 1.0) * 10.0 ** -np.arange(decades + 1.0)[:, None]
-    slot = np.arange(n_points)
-    t = T / n_points * np.concatenate([slot + _GOLDEN, slot + 1.0 - _GOLDEN])
+    slot = np.arange(_N_FD_SLOTS)
+    t = T / _N_FD_SLOTS * np.concatenate(
+        [slot + _GOLDEN, slot + 1.0 - _GOLDEN])
     a = np.asarray(exp.alpha(t), float)
     d1 = np.asarray(exp.alpha_d1(t), float)
     d2 = np.asarray(exp.alpha_d2(t), float)
@@ -184,13 +184,13 @@ def _finite_difference_check(exp, T, n_points=41):
     with np.errstate(all="ignore"):
         fd1 = (up - down) / (2.0 * h)
         fd2 = (up - 2.0 * a + down) / (h * h)
-        return (_mismatch(fd1, d1, n_points), _mismatch(fd2, d2, n_points))
+        return _mismatch(fd1, d1), _mismatch(fd2, d2)
 
 
-def _mismatch(fd, d, n_points):
+def _mismatch(fd, d):
     """Worst slot of the best candidate and step (fd rows are steps)."""
     err = np.abs(fd - d)
-    err = np.where(np.isnan(err), np.inf, err).reshape(-1, n_points)
+    err = np.where(np.isnan(err), np.inf, err).reshape(-1, _N_FD_SLOTS)
     return float(err.min(axis=0).max() / max(1.0, float(np.abs(d).max())))
 
 

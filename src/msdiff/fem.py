@@ -98,11 +98,6 @@ class TriFactor:
         return np.asarray(y)
 
 
-def tridiag_solve(mat: TriDiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat x = rhs by Thomas elimination."""
-    return mat.factor().solve(rhs)
-
-
 def assemble_mass(mesh: Mesh1D) -> TriDiagonalMatrix:
     """Consistent P1 mass matrix: diag 4h/6, off-diagonals h/6 (exact)."""
     m = mesh.n_unknowns
@@ -183,32 +178,6 @@ def ritz_projection(mesh: Mesh1D, u0) -> np.ndarray:
         raise ValidationError(
             f"initial data must vanish on the boundary, got {ends}")
     return np.asarray(u0(mesh.interior_nodes()), float)
-
-
-def discrete_l2_diff(coarse: np.ndarray, fine: np.ndarray, mode: str,
-                     h: float) -> float:
-    """sqrt(h sum_j |coarse_j - fine_match(j)|^2) over the coarse nodes.
-
-    mode 'time-refined' compares equal-length nodal vectors; mode
-    'space-refined' matches coarse node j with fine node 2j (the fine
-    vector must come from the halved mesh: length 2*len(coarse)+1).
-    """
-    coarse = np.asarray(coarse, float)
-    fine = np.asarray(fine, float)
-    if mode == "time-refined":
-        if coarse.shape != fine.shape:
-            raise ValidationError(
-                f"length mismatch: {coarse.shape} vs {fine.shape}")
-        diff = coarse - fine
-    elif mode == "space-refined":
-        if fine.size != 2 * coarse.size + 1:
-            raise ValidationError(
-                f"fine grid must have 2*{coarse.size}+1 unknowns, "
-                f"got {fine.size}")
-        diff = coarse - fine[1::2]
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    return float(np.sqrt(h * np.dot(diff, diff)))
 
 
 def discrete_l2_norm(values: np.ndarray, h: float) -> float:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .exponents import (VariableExponent, cubic_spline, exponent_by_name,
-                        read_table_csv)
-from .fem import Mesh1D, discrete_l2_diff
+                        read_table_csv, validate_assumption_a)
+from .fem import Mesh1D, discrete_l2_norm
 from .reference import ComparisonSeries, figure_transition_profiles
 from .stepper import SolverConfig, solve
 from .weights import assemble_weights
@@ -225,8 +225,7 @@ def run_convergence_time(cfg: ExperimentConfig) -> RateTable:
     entries = _refinement_errors(
         cfg.n_steps, cfg.levels,
         lambda n: _solve(cfg, exponent, initial, n, cfg.m_cells).final(),
-        lambda coarse, fine, n: discrete_l2_diff(coarse, fine,
-                                                 "time-refined", h))
+        lambda coarse, fine, n: discrete_l2_norm(coarse - fine, h))
     return _attach_rates("convergence-time", "N", "E2", cfg,
                          f"M={cfg.m_cells}", entries)
 
@@ -243,8 +242,8 @@ def run_convergence_space(cfg: ExperimentConfig) -> RateTable:
     entries = _refinement_errors(
         cfg.m_cells, cfg.levels,
         lambda m: _solve(cfg, exponent, initial, cfg.n_steps, m).final(),
-        lambda coarse, fine, m: discrete_l2_diff(coarse, fine,
-                                                 "space-refined", 1.0 / m))
+        lambda coarse, fine, m: discrete_l2_norm(coarse - fine[1::2],
+                                                 1.0 / m))
     return _attach_rates("convergence-space", "M", "G2", cfg,
                          f"N={cfg.n_steps}", entries)
 
@@ -356,7 +355,6 @@ def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
     """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows."""
     exp = cfg.build_exponent()
-    from .exponents import validate_assumption_a
     validate_assumption_a(exp, cfg.T)
     lag = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp).tolist()
     out = io.StringIO()

@@ -16,7 +16,6 @@ whenever alpha'(0) != 0, so every evaluation here requires t > 0.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exponents import VariableExponent
@@ -25,16 +24,6 @@ from .special import digamma, gamma
 # Below this time the difference quotient alpha(t)/t is replaced by its
 # limit alpha'(0).
 _RATIO_LIMIT_TIME = 1e-12
-
-
-@dataclass(frozen=True)
-class KernelEvaluation:
-    """g(t) split into its two factors: g_value = prefactor * g_factor."""
-
-    t: float
-    prefactor: float
-    g_factor: float
-    g_value: float
 
 
 def _require_positive_time(t: float) -> float:
@@ -78,14 +67,6 @@ def log_derivative_factor(exp: VariableExponent, t: float) -> float:
     return -float(exp.alpha_d1(t)) * math.log(t) + smooth_factor(exp, t)
 
 
-def evaluate_kernel(exp: VariableExponent, t: float) -> KernelEvaluation:
-    """Full kernel evaluation g(t) = p(t) G(t) at a single time t > 0."""
-    t = _require_positive_time(t)
-    p = kernel_prefactor(exp, t)
-    G = log_derivative_factor(exp, t)
-    return KernelEvaluation(t=t, prefactor=p, g_factor=G, g_value=p * G)
-
-
 def kernel_value(exp: VariableExponent, t: float) -> float:
-    """Shorthand for evaluate_kernel(exp, t).g_value."""
-    return evaluate_kernel(exp, t).g_value
+    """Full kernel g(t) = p(t) G(t) at a single time t > 0."""
+    return kernel_prefactor(exp, t) * log_derivative_factor(exp, t)

@@ -49,12 +49,15 @@ def assemble_weights(n_steps: int, tau: float,
         L = P (ln d - 1/(1-a)) + e^(1-a) log1p(1/j) / (1-a);
 
     lag 0 takes the diagonal limits.  The exponent is assumed
-    admissible.  The first lag whose Gamma(1 - alpha) is out of range
+    admissible; a lag array numpy cannot size raises ValidationError.
+    The first lag whose Gamma(1 - alpha) is out of range
     (alpha >= 1 or alpha < -170) or whose weight is not finite raises
     SolverError naming that lag.
     """
     if n_steps < 1:
         raise ValidationError(f"need at least one step, got {n_steps}")
+    if 8 * int(n_steps) > np.iinfo(np.intp).max:  # numpy cannot size it
+        raise ValidationError(f"{n_steps} steps are too many to store")
     if not tau > 0.0:
         raise ValidationError(f"step size must be positive, got {tau}")
     j = np.arange(n_steps)

@@ -148,6 +148,33 @@ def mp_lag_weights(tau: float, exp, lags) -> np.ndarray:
     return out
 
 
+def mp_heat_modes(tau: float, n_steps: int, m_cells: int,
+                  modes: dict) -> np.ndarray:
+    """Exact backward-Euler P1 heat snapshots U_0..U_N of sine data.
+
+    modes maps k to c_k for U_0 = sum_k c_k sin(k pi x_j).  The sine
+    vectors are eigenvectors of the P1 mass and stiffness matrices with
+    lam^M_k = h/3 (2 + cos(k pi h)) and lam^A_k = 2/h (1 - cos(k pi h)),
+    so U_n = sum_k c_k r_k^n sin(k pi x_j) with
+    r_k = lam^M_k / (lam^M_k + tau lam^A_k).  c_k r_k^n and the sines
+    are evaluated in 40-digit mpmath; only the sum over the modes is
+    taken in float64.
+    """
+    amplitudes, sines = [], []
+    with mpmath.workdps(40):
+        h = mpmath.mpf(1) / m_cells
+        for k, c in modes.items():
+            cos = mpmath.cospi(k * h)
+            lam_m = h / 3 * (2 + cos)
+            lam_a = 2 / h * (1 - cos)
+            r = lam_m / (lam_m + mpmath.mpf(tau) * lam_a)
+            amplitudes.append([float(c * r ** n)
+                               for n in range(n_steps + 1)])
+            sines.append([float(mpmath.sinpi(mpmath.mpf(k * j) / m_cells))
+                          for j in range(1, m_cells)])
+    return np.array(amplitudes).T @ np.array(sines)
+
+
 def dense_from_tridiag(mat) -> np.ndarray:
     n = mat.diag.size
     out = np.zeros((n, n))

@@ -98,6 +98,15 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
     assert main(["figure1", "--T", "inf"] + out) == 2
     assert main(["figure1", "--T", "1e308", "--N", "8", "--M", "4"]
                 + out) in (2, 3)
+    # runs whose arrays numpy cannot size are refused before allocating
+    huge = str(2 ** 62)
+    for argv in (["solve", "--N", huge, "--M", "4"],
+                 ["solve", "--N", "4", "--M", huge],
+                 ["weights-dump", "--N", huge],
+                 ["figure1", "--N", huge, "--M", "4"],
+                 ["convergence-space", "--N", "4", "--M", huge,
+                  "--levels", "2"]):
+        assert main(argv + out) == 2, argv
     assert "Traceback" not in capsys.readouterr().err
     # numpy prints no warning on the way
     proc = subprocess.run(
@@ -105,6 +114,21 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
          "8", "--M", "4"] + out, capture_output=True, text=True)
     assert proc.returncode in (0, 2)
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 7.45 GiB for an array",
+     "Unable to allocate 7.45 GiB for an array"),
+    ("", "out of memory")], ids=["numpy-message", "bare"])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, message,
+                               shown):
+    def exhausted(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("msdiff.harness.solve", exhausted)
+    assert main(["solve", "--out", str(tmp_path / "out.csv")]) == 3
+    assert capsys.readouterr().err == f"msd: solver failure: {shown}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _write_tables(tmp_path):

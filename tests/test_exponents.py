@@ -15,7 +15,6 @@ def test_example1_is_valid_case1():
     exp = example_exponent_1(1.0)
     report = validate_assumption_a(exp, 1.0)
     assert report.case_class is CaseClass.CASE1
-    assert exp.case_class is CaseClass.CASE1
     assert report.max_alpha <= exp.alpha_star
     assert report.fd_err_d1 < 1e-6 and report.fd_err_d2 < 1e-6
 

@@ -6,9 +6,8 @@ from scipy.linalg import eigh
 
 from msdiff.errors import SolverError, ValidationError
 from msdiff.fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                        assemble_stiffness, discrete_l2_diff, dst1,
-                        load_vector, ritz_projection, sine_eigenvalues,
-                        tridiag_solve)
+                        assemble_stiffness, discrete_l2_norm, dst1,
+                        load_vector, ritz_projection, sine_eigenvalues)
 
 from oracles import (dense_from_tridiag, dense_gauss_solve,
                      interpolant_error_l2, interpolant_l2_norm_sq)
@@ -173,7 +172,7 @@ def test_tridiag_identity_solve():
     eye = TriDiagonalMatrix(sub=np.zeros(n - 1), diag=np.ones(n),
                             sup=np.zeros(n - 1))
     rhs = np.linspace(-1.0, 2.0, n)
-    assert np.array_equal(tridiag_solve(eye, rhs), rhs)
+    assert np.array_equal(eye.factor().solve(rhs), rhs)
 
 
 def test_tridiag_against_dense_elimination():
@@ -184,7 +183,7 @@ def test_tridiag_against_dense_elimination():
         mat = TriDiagonalMatrix(sub=sub, diag=2.0 + rng.uniform(0, 1, n),
                                 sup=sub.copy())
         rhs = rng.uniform(-1, 1, n)
-        got = tridiag_solve(mat, rhs)
+        got = mat.factor().solve(rhs)
         want = dense_gauss_solve(dense_from_tridiag(mat), rhs)
         assert np.abs(got - want).max() < 1e-12
         residual = mat.matvec(got) - rhs
@@ -195,8 +194,8 @@ def test_tridiag_reproduces_poisson_solution():
     # -u'' = 1 with u = x(1-x)/2 is nodally exact for P1 on any grid
     mesh = Mesh1D(8)
     x = mesh.interior_nodes()
-    sol = tridiag_solve(assemble_stiffness(mesh),
-                        load_vector(mesh, lambda s: np.ones_like(s)))
+    sol = assemble_stiffness(mesh).factor().solve(
+        load_vector(mesh, lambda s: np.ones_like(s)))
     assert np.abs(sol - x * (1.0 - x) / 2.0).max() < 1e-14
 
 
@@ -204,27 +203,15 @@ def test_tridiag_flags_near_zero_pivot():
     mat = TriDiagonalMatrix(sub=np.array([1.0]), diag=np.array([0.0, 1.0]),
                             sup=np.array([1.0]))
     with pytest.raises(SolverError, match="pivot"):
-        tridiag_solve(mat, np.array([1.0, 1.0]))
-
-
-def test_discrete_diff_identical_vectors():
-    v = np.linspace(0, 1, 7)
-    assert discrete_l2_diff(v, v, "time-refined", 0.125) == 0.0
+        mat.factor()
 
 
 def test_discrete_diff_zero_coarse():
-    fine = np.arange(1.0, 8.0)
+    values = np.arange(1.0, 8.0)
     h = 0.125
-    got = discrete_l2_diff(np.zeros(3), fine, "space-refined", h)
-    assert got == pytest.approx(math.sqrt(h * np.sum(fine[1::2] ** 2)))
-    got = discrete_l2_diff(np.zeros(7), fine, "time-refined", h)
-    assert got == pytest.approx(math.sqrt(h * np.sum(fine ** 2)))
-
-
-def test_discrete_diff_validation():
-    with pytest.raises(ValidationError):
-        discrete_l2_diff(np.zeros(4), np.zeros(5), "time-refined", 0.1)
-    with pytest.raises(ValidationError):
-        discrete_l2_diff(np.zeros(4), np.zeros(8), "space-refined", 0.1)
-    with pytest.raises(ValidationError):
-        discrete_l2_diff(np.zeros(4), np.zeros(4), "diagonal", 0.1)
+    # sqrt(h (1 + 4 + ... + 49)) = sqrt(140 / 8)
+    assert discrete_l2_norm(values, h) == pytest.approx(math.sqrt(17.5),
+                                                        rel=1e-15)
+    assert discrete_l2_norm(np.zeros(3), h) == 0.0
+    assert discrete_l2_norm(-values[1::2], h) == pytest.approx(
+        math.sqrt(h * (4.0 + 16.0 + 36.0)), rel=1e-15)

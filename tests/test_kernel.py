@@ -5,7 +5,7 @@ import pytest
 
 from msdiff.errors import ValidationError
 from msdiff.exponents import VariableExponent
-from msdiff.kernel import (evaluate_kernel, kernel_prefactor, kernel_value,
+from msdiff.kernel import (kernel_prefactor, kernel_value,
                            log_derivative_factor, smooth_factor)
 from msdiff.special import EULER_GAMMA
 
@@ -15,10 +15,8 @@ from oracles import dyadic_quad, lanczos_gamma
 def test_zero_exponent_degenerates(exp_zero):
     # p(t) = 1 and g(t) = 0 for every t: the Fickian limit
     for t in (1e-6, 0.1, 0.5, 1.0):
-        ev = evaluate_kernel(exp_zero, t)
-        assert ev.prefactor == pytest.approx(1.0, abs=1e-15)
-        assert ev.g_value == 0.0
-        assert ev.g_value == ev.prefactor * ev.g_factor
+        assert kernel_prefactor(exp_zero, t) == pytest.approx(1.0, abs=1e-15)
+        assert kernel_value(exp_zero, t) == 0.0
 
 
 def test_prefactor_limit_near_zero(exp_ex1):
@@ -41,7 +39,7 @@ def test_prefactor_against_independent_gamma(exp_ex1):
 
 @pytest.mark.parametrize("t", [0.0, -0.1])
 def test_positive_time_required(exp_ex1, t):
-    for fn in (kernel_prefactor, log_derivative_factor, evaluate_kernel):
+    for fn in (kernel_prefactor, log_derivative_factor, kernel_value):
         with pytest.raises(ValidationError):
             fn(exp_ex1, t)
 
@@ -134,8 +132,3 @@ def test_kernel_case_bounds_stable_under_refinement(case, builder, g_env,
     assert max(c_g) <= 1.1 * c_g[0]
     assert max(c_gp) <= 1.1 * c_gp[0]
 
-
-def test_evaluation_record_is_consistent(exp_ex2):
-    ev = evaluate_kernel(exp_ex2, 0.37)
-    assert ev.g_value == ev.prefactor * ev.g_factor
-    assert ev.t == 0.37
