@@ -23,15 +23,32 @@ marcher steps the sine coefficients u_n = dst1(U_n) instead of nodal
 values.  Mode k then obeys the scalar recurrence
 
     d_k u_n[k] = (lam^M_k/tau) u_{n-1}[k] + dst1(F_n)[k]
-                 - lam^A_k sum_k w[n-k] u_k[k],
+                 - lam^A_k sum_{j=first..n-1} w[n-j] u_j[k],
     d_k = lam^M_k/tau + c lam^A_k > 0 for c > 0,
 
-so a step costs a few vector operations plus the memory sum, with no
-linear solve.  The memory sum runs over the stored coefficient history
-(cost O(N^2 M) overall, the history kept fully in memory because the
-memory term needs it anyway), and the snapshots are transformed back to
-nodal values once, in blocks, at the end.  The independent checks of
-this loop are the dense oracles of the test suite.
+with no linear solve in space.  In time, steps u_1..u_N of one mode
+form a lower-triangular Toeplitz system with coefficients t[0] = 1,
+t[1] = -decay_k + gain_k w[1] and t[j] = gain_k w[j] (decay_k =
+lam^M_k / (tau d_k), gain_k = lam^A_k / d_k); U_0 only enters the
+right-hand side.  The marcher cuts time into blocks of B = _BLOCK_ROWS
+steps and, per block lo..hi-1:
+
+1. adds the history before the block, U_first..U_{lo-1}, as two matrix
+   products (one per half block) of a Toeplitz strip of w with the
+   stored coefficients;
+2. solves the block's own triangle by multiplying with the inverse
+   Toeplitz matrix, one real FFT along time for all modes; the first
+   column of that inverse comes from a B-step recurrence, once a run.
+
+A run takes N/B + B interpreter steps instead of N, and the memory sum
+is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
+because the memory term needs it anyway).  The transformed block is
+scaled by a power of two, exactly, so data near the overflow threshold
+stays finite wherever the step-by-step sum does.  A block with a
+non-finite value raises SolverError naming its step range.  Snapshots
+are transformed back to nodal values once, in blocks, at the end.  The
+independent checks are the dense oracles of the test suite and its
+direct step-by-step marcher.
 """
 
 from dataclasses import dataclass
@@ -101,12 +118,13 @@ def solve(config: SolverConfig) -> SolutionHistory:
     """Run the scheme over n = 1..N starting from the projected data.
 
     Validates the exponent, assembles the lag vector of memory weights
-    and marches with implicit coefficient 1 + lag[0].  Raises
-    SolverError on a non-finite snapshot or a non-positive 1 + lag[0],
-    the only step check: coarse steps can amplify (a random spline run
-    grew 6.3x at N = 2).  1 + lag[0] >= sum_{j>=1} |lag[j]| suffices
-    for bounded modes but is not enforced: Table 2's runs (exp-example2,
-    T = 1, N = 32, 64) miss it (1.090 < 1.123, 1.056 < 1.159) and keep
+    and marches with implicit coefficient 1 + lag[0], B steps per block
+    (see _march).  Raises SolverError on a non-finite snapshot, naming
+    its block of steps, or on a non-positive 1 + lag[0], the only step
+    check: coarse steps can amplify (a random spline run grew 6.3x at
+    N = 2).  1 + lag[0] >= sum_{j>=1} |lag[j]| suffices for bounded
+    modes but is not enforced: Table 2's runs (exp-example2, T = 1,
+    N = 32, 64) miss it (1.090 < 1.123, 1.056 < 1.159) and keep
     max_n ||U_n|| / ||U_0|| at 1.0 with 63 modes at M = 64.
     """
     validate_assumption_a(config.exponent, config.T)
@@ -119,21 +137,27 @@ def solve(config: SolverConfig) -> SolutionHistory:
     return _march(config, implicit, lag, first=1)
 
 
-# rows per block when the coefficient history is turned back into nodal
-# values: bounds the FFT temporaries to a few blocks' worth of memory
-_BLOCK_ROWS = 64
+# steps per block, B in the module doc; it also bounds the temporaries
+# of the back-transform.  In a benchmark sweep over 16..128 (with a
+# strip B rows high), 64 and 128 ran 3-11% faster than 32 but added
+# 5-10% to peak memory over the step-by-step marcher, against 3-5% for
+# 32; 16 ran 20% slower.
+_BLOCK_ROWS = 32
 
 
 def _march(config: SolverConfig, implicit: float,
            memory: Optional[np.ndarray] = None,
            first: int = 1) -> SolutionHistory:
-    """Step n = 1..N from the projected initial data (see module doc).
+    """Step n = 1..N from the projected initial data, B steps per block.
 
     config supplies the grid, horizon, initial data and source; its
     exponent is not read here.  implicit must be positive.  memory[j]
     multiplies U_{n-j}; it needs entries 0..N-first, and entry 0 is
-    never read (its share sits in `implicit`).  Raises SolverError on a
-    non-finite snapshot.
+    never read (its share sits in `implicit`).  Each block of steps
+    lo..hi-1 costs two GEMMs with the earlier history, one per half
+    block, and one FFT product with the inverse of the in-block
+    Toeplitz matrix (module doc).  Raises SolverError naming the step
+    range of the first block with a non-finite value.
     """
     mesh, tau, N = config.mesh, config.tau, config.n_steps
     source = config.source
@@ -141,34 +165,84 @@ def _march(config: SolverConfig, implicit: float,
     denom = lam_mass / tau + implicit * lam_stiff
     decay = lam_mass / (tau * denom)
     inv_denom = 1.0 / denom
-    memory_gain = lam_stiff * inv_denom
-
-    if memory is not None:
-        # contiguous reversed copy: rev[N - n + (k - first)] = memory[n - k]
-        rev = np.ascontiguousarray(memory[N - first::-1])
+    gain = lam_stiff * inv_denom
+    size = min(_BLOCK_ROWS, N)
     u0 = ritz_projection(mesh, config.initial)
+    # allocated before the strip: in this order the heap of a benchmark
+    # run peaks 0.2-0.4 MB lower
     history = np.empty((N + 1, mesh.n_unknowns))
     history[0] = dst1(u0)
 
-    for n in range(1, N + 1):
-        u = history[n]
-        np.multiply(decay, history[n - 1], out=u)
-        if source is not None:
-            t_n = n * tau
-            u += inv_denom * dst1(
-                load_vector(mesh, lambda x: source(x, t_n)))
-        if memory is not None and n > first:
-            u -= memory_gain * (rev[N - n:N - first] @ history[first:n])
-        if not np.all(np.isfinite(u)):
-            raise SolverError(f"non-finite solution values at step {n}")
+    rows = (size + 1) // 2
+    lags = np.zeros(N + 2 * rows)  # memory[1..N-first], zero padded
+    if memory is not None:
+        lags[1:N - first + 1] = memory[1:N - first + 1]
+        # strip[i, c] = lags[i + N + rows - c]: rows r.. of the block at
+        # lo take strip[:, first - lo - r:N + rows - r], the weights of
+        # U_first..U_{lo-1}.  Half a block high, it needs two products
+        # per block and half the memory of a B-row strip (0.5 MB less
+        # peak memory on the benchmark's tables run).
+        windows = np.lib.stride_tricks.sliding_window_view(lags[::-1],
+                                                           N + rows)
+        strip = np.ascontiguousarray(windows[rows - 1::-1])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse_hat = _inverse_spectrum(decay, gain, lags[:size])
+        for lo in range(1, N + 1, size):
+            hi = min(lo + size, N + 1)
+            block = history[lo:hi]
+            if memory is not None and lo > first:
+                for r in range(0, hi - lo, rows):
+                    np.matmul(strip[:hi - lo - r, first - lo - r:N + rows - r],
+                              history[first:lo], out=block[r:r + rows])
+                block *= -gain
+            else:
+                block.fill(0.0)
+            block[0] += decay * history[lo - 1]
+            if source is not None:
+                block += inv_denom * dst1([
+                    load_vector(mesh, lambda x, t=n * tau: source(x, t))
+                    for n in range(lo, hi)])
+            # scaling by a power of two is exact and keeps the transform
+            # of data near the overflow threshold finite
+            shift = np.frexp(max(block.max(), -block.min()))[1]
+            np.ldexp(block, -shift, out=block)
+            spectrum = np.fft.rfft(block, n=2 * size, axis=0)
+            spectrum *= inverse_hat
+            block[:] = np.fft.irfft(spectrum, n=2 * size, axis=0)[:hi - lo]
+            np.ldexp(block, shift, out=block)
+            if not np.all(np.isfinite(block)):
+                raise SolverError(
+                    f"non-finite solution values in steps {lo}..{hi - 1}")
 
     scale = 2.0 / mesh.m_cells
-    for lo in range(1, N + 1, _BLOCK_ROWS):
-        block = history[lo:lo + _BLOCK_ROWS]
+    for lo in range(1, N + 1, size):
+        block = history[lo:lo + size]
         block[:] = dst1(block)
         block *= scale
     history[0] = u0
     return SolutionHistory(config=config, snapshots=history)
+
+
+def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,
+                      lags: np.ndarray) -> np.ndarray:
+    """Length-2B rfft of the first column of each mode's inverse block.
+
+    Mode k's B x B step matrix is lower-triangular Toeplitz with first
+    column t = (1, gain_k lags[1] - decay_k, gain_k lags[2], ..); so is
+    its inverse, whose first column v obeys v[0] = 1 and
+    v[n] = -sum_{j=1..n} t[j] v[n-j], run for all modes at once.
+    B = lags.size; lags[0] is not read.
+    """
+    size = lags.size
+    coef = np.outer(lags, gain)
+    coef[1:2] -= decay
+    inverse = np.zeros_like(coef)
+    inverse[0] = 1.0
+    for n in range(1, size):
+        inverse[n] = -np.einsum("jk,jk->k", coef[1:n + 1],
+                                inverse[n - 1::-1])
+    return np.fft.rfft(inverse, n=2 * size, axis=0)
 
 
 def sample_series(history: SolutionHistory, x: float) -> np.ndarray:

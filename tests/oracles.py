@@ -4,9 +4,11 @@ Everything here re-derives quantities along a route different from the
 library code: brute-force quadrature of defining integrals, 40-digit
 evaluation of the closed-form memory weights, dense Gaussian
 elimination, a Lanczos gamma independent of math.gamma,
-high-resolution quadrature of interpolants, and a dense time-stepping
+high-resolution quadrature of interpolants, a dense time-stepping
 loop that shares nothing with the library's marcher beyond the P1
-matrices and load vector.
+matrices and load vector, and the direct sine-mode marcher that sums
+the whole history at every step, where the library solves blocks of
+steps at once.
 """
 
 import math
@@ -16,7 +18,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from msdiff.fem import assemble_mass, assemble_stiffness, load_vector
+from msdiff.fem import (assemble_mass, assemble_stiffness, dst1,
+                        load_vector, ritz_projection, sine_eigenvalues)
 
 EULER = 0.5772156649015328606
 
@@ -228,6 +231,39 @@ def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None,
             for k in range(n):
                 rhs -= weight(n, k) * (stiff @ hist[k])
         hist[n] = dense_gauss_solve(system, rhs)
+    return hist
+
+
+def direct_march(config, implicit, memory=None, first=1) -> np.ndarray:
+    """Nodal snapshots U_0..U_N of the marcher's scheme, one step at a time.
+
+    Same arguments and scheme as msdiff.stepper._march: mode k of the
+    sine coefficients u_n = dst1(U_n) obeys
+
+        d_k u_n = (lam^M_k / tau) u_{n-1} + dst1(F_n)
+                  - lam^A_k sum_{j=first..n-1} memory[n-j] u_j,
+
+    with d_k = lam^M_k / tau + implicit lam^A_k, and the memory sum is
+    taken directly over the stored history at every step (cost
+    O(N^2 M)).
+    """
+    mesh, tau, N = config.mesh, config.tau, config.n_steps
+    lam_mass, lam_stiff = sine_eigenvalues(mesh)
+    denom = lam_mass / tau + implicit * lam_stiff
+    decay = lam_mass / (tau * denom)
+    gain = lam_stiff / denom
+    u0 = ritz_projection(mesh, config.initial)
+    hist = np.empty((N + 1, mesh.n_unknowns))
+    hist[0] = dst1(u0)
+    for n in range(1, N + 1):
+        hist[n] = decay * hist[n - 1]
+        if config.source is not None:
+            hist[n] += dst1(load_vector(
+                mesh, lambda x: config.source(x, n * tau))) / denom
+        if memory is not None and n > first:
+            hist[n] -= gain * (memory[n - first:0:-1] @ hist[first:n])
+    hist = dst1(hist) * (2.0 / mesh.m_cells)
+    hist[0] = u0
     return hist
 
 

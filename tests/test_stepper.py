@@ -1,23 +1,31 @@
+import dataclasses
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
-from msdiff.errors import ValidationError
+from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
 from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
                         discrete_l2_norm)
-from msdiff.reference import constant_subdiffusion_solve, heat_solve
-from msdiff.stepper import SolverConfig, sample_solution, solve
+from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
+                               heat_solve)
+from msdiff.stepper import (_BLOCK_ROWS, SolverConfig, _march,
+                            sample_solution, solve)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
-from oracles import dense_from_tridiag, dense_gauss_solve, dense_history
+from oracles import (dense_from_tridiag, dense_gauss_solve, dense_history,
+                     direct_march)
+
+B = _BLOCK_ROWS
 
 
 def test_config_validation(exp_zero):
@@ -81,6 +89,7 @@ def test_fickian_degeneration_matches_heat_solver(exp_zero):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(N=st.integers(1, 12), M=st.integers(2, 8),
        alpha_bar=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(N=B + 1, M=3, alpha_bar=0.4)  # crosses a block edge
 def test_marcher_matches_dense_oracles(N, M, alpha_bar):
     mesh = Mesh1D(M)
     tau = 1.0 / N
@@ -105,22 +114,89 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
         assert np.abs(got.snapshots - want).max() <= 1e-12, name
 
 
+def _assert_matches_direct(cfg, implicit, memory=None, first=1):
+    got = _march(cfg, implicit, memory, first).snapshots
+    want = direct_march(cfg, implicit, memory, first)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _source(x, t):
+    return (1.0 + 3.0 * t) * np.cos(3.0 * np.asarray(x, float)) + x
+
+
+@pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 2 * B + 1,
+                               2 * B + B // 2 + 1, 3 * B])
+def test_blocked_marcher_matches_direct_oracle(N):
+    # block edges at every position: one short block, exactly one, one
+    # plus a single step, several, and a last block that ends one step
+    # into its second half, for all callers of the marcher
+    mesh, tau = Mesh1D(5), 1.0 / N
+    for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
+        exp = exponent_by_name(name, 1.0, 0.4)
+        cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp,
+                           initial=u0_quartic)
+        lag = assemble_weights(N, tau, exp)
+        _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+    scale = tau ** -0.4
+    _assert_matches_direct(cfg, scale, scale * cq_weights(0.4, N), first=0)
+    _assert_matches_direct(cfg, 1.0)
+    _assert_matches_direct(dataclasses.replace(cfg, source=_source),
+                           1.0 + lag[0], lag)
+
+
+def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
+    cfg = SolverConfig(T=1.0, n_steps=4096, mesh=Mesh1D(16),
+                       exponent=exp_ex1, initial=u0_sine)
+    lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
+    _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+
+
+def test_data_near_the_overflow_threshold_completes(exp_ex1):
+    # the blocked solve transforms sums of up to 2B values; scaled by a
+    # power of two it stays finite wherever the step-by-step sum does
+    def huge(x):
+        x = np.asarray(x, float)
+        inside = (x > 1e-9) & (x < 1.0 - 1e-9)
+        return np.where(inside, 1e307 * np.sin(math.pi * x), 0.0)
+
+    cfg = SolverConfig(T=1.0, n_steps=200, mesh=Mesh1D(16),
+                       exponent=exp_ex1, initial=huge)
+    lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
+    assert np.all(np.isfinite(solve(cfg).snapshots))
+    _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+
+
+def test_amplifying_memory_raises_solver_error_naming_steps(exp_ex1):
+    # each step multiplies the high modes by about 1e6: the step-by-step
+    # sum overflows at step 57, inside the block the error must name
+    cfg = SolverConfig(T=1.0, n_steps=200, mesh=Mesh1D(8),
+                       exponent=exp_ex1, initial=u0_sine)
+    memory = np.zeros(cfg.n_steps + 1)
+    memory[1] = -1e6
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = direct_march(cfg, 1.0, memory)
+    first_bad = np.flatnonzero(~np.isfinite(direct).all(axis=1))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite") as err:
+            _march(cfg, 1.0, memory)
+    lo, hi = re.search(r"in steps (\d+)\.\.(\d+)$", str(err.value)).groups()
+    assert int(lo) <= first_bad <= int(hi)
+
+
 @pytest.mark.parametrize("N,M", [(1, 2), (6, 2), (5, 3), (16, 8),
                                  (12, 17)])
 def test_source_term_matches_dense_oracle(N, M, exp_ex1):
-    def source(x, t):
-        return (1.0 + 3.0 * t) * np.cos(3.0 * np.asarray(x, float)) + x
-
     mesh = Mesh1D(M)
     tau = 1.0 / N
     cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp_ex1,
-                       initial=u0_sine, source=source)
+                       initial=u0_sine, source=_source)
     lag = assemble_weights(N, tau, exp_ex1)
     want = dense_history(
         mesh, tau, N, u0_sine, implicit=1.0 + lag[0],
-        weight=lambda n, k: lag[n - k] if k else 0.0, source=source)
+        weight=lambda n, k: lag[n - k] if k else 0.0, source=_source)
     assert np.abs(solve(cfg).snapshots - want).max() <= 1e-12
-    want = dense_history(mesh, tau, N, u0_sine, source=source)
+    want = dense_history(mesh, tau, N, u0_sine, source=_source)
     assert np.abs(heat_solve(cfg).snapshots - want).max() <= 1e-12
 
 
