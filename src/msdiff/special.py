@@ -26,20 +26,13 @@ _PSI_TAIL = (
 
 
 def gamma(x):
-    """Gamma function on the positive real axis.
-
-    Arrays are mapped element-wise through math.gamma.
-    """
-    if np.ndim(x) == 0:
-        if not x > 0.0:
-            raise ValidationError(
-                f"gamma requires a positive argument, got {x}")
-        return math.gamma(x)
-    arr = np.asarray(x, float)
-    if not np.all(arr > 0.0):
+    """Gamma function on the positive real axis, element-wise through
+    math.gamma; a scalar argument gives a scalar."""
+    x = np.asarray(x, float)
+    if not np.all(x > 0.0):
         raise ValidationError(f"gamma requires positive arguments, got {x}")
-    return np.array([math.gamma(v) for v in arr.ravel().tolist()]).reshape(
-        arr.shape)
+    values = [math.gamma(v) for v in x.ravel().tolist()]
+    return np.array(values).reshape(x.shape)[()]
 
 
 def digamma(x):
@@ -51,11 +44,12 @@ def digamma(x):
         psi(z) = ln z - 1/(2z) - sum_k B_{2k} / (2k z^{2k})
 
     is evaluated at z >= 10, where it is accurate to full double
-    precision.  psi(1) equals minus the Euler constant.
+    precision.  psi(1) equals minus the Euler constant.  A scalar
+    argument gives a scalar.
     """
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, float)
+    x = np.asarray(x, float)
     if not np.all(x > 0.0):
-        raise ValidationError(f"digamma requires a positive argument, got {x}")
+        raise ValidationError(f"digamma requires positive arguments, got {x}")
     shift = 0.0
     for i in range(10):
         shift -= 1.0 / (x + i)
@@ -66,4 +60,4 @@ def digamma(x):
     for coeff in _PSI_TAIL:
         tail += coeff * power
         power = power * inv_sq
-    return shift + np.log(z) - 0.5 / z - tail
+    return (shift + np.log(z) - 0.5 / z - tail)[()]

@@ -33,9 +33,8 @@ lam^M_k / (tau d_k), gain_k = lam^A_k / d_k); U_0 only enters the
 right-hand side.  The marcher cuts time into blocks of B = _BLOCK_ROWS
 steps and, per block lo..hi-1:
 
-1. adds the history before the block, U_first..U_{lo-1}, as two matrix
-   products (one per half block) of a Toeplitz strip of w with the
-   stored coefficients;
+1. adds the history before the block, U_first..U_{lo-1}, as one matrix
+   product of a B-row Toeplitz strip of w with the stored coefficients;
 2. solves the block's own triangle by multiplying with the inverse
    Toeplitz matrix, one real FFT along time for all modes; the first
    column of that inverse comes from a B-step recurrence, once a run.
@@ -138,10 +137,9 @@ def solve(config: SolverConfig) -> SolutionHistory:
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
-# of the back-transform.  In a benchmark sweep over 16..128 (with a
-# strip B rows high), 64 and 128 ran 3-11% faster than 32 but added
-# 5-10% to peak memory over the step-by-step marcher, against 3-5% for
-# 32; 16 ran 20% slower.
+# of the back-transform.  In a benchmark sweep over 16..128, 64 and 128
+# ran 3-11% faster than 32 but added 5-10% to peak memory over the
+# step-by-step marcher, against 3-5% for 32; 16 ran 20% slower.
 _BLOCK_ROWS = 32
 
 
@@ -154,10 +152,10 @@ def _march(config: SolverConfig, implicit: float,
     exponent is not read here.  implicit must be positive.  memory[j]
     multiplies U_{n-j}; it needs entries 0..N-first, and entry 0 is
     never read (its share sits in `implicit`).  Each block of steps
-    lo..hi-1 costs two GEMMs with the earlier history, one per half
-    block, and one FFT product with the inverse of the in-block
-    Toeplitz matrix (module doc).  Raises SolverError naming the step
-    range of the first block with a non-finite value.
+    lo..hi-1 costs one GEMM with the earlier history and one FFT
+    product with the inverse of the in-block Toeplitz matrix (module
+    doc).  Raises SolverError naming the step range of the first block
+    with a non-finite value.
     """
     mesh, tau, N = config.mesh, config.tau, config.n_steps
     source = config.source
@@ -168,23 +166,17 @@ def _march(config: SolverConfig, implicit: float,
     gain = lam_stiff * inv_denom
     size = min(_BLOCK_ROWS, N)
     u0 = ritz_projection(mesh, config.initial)
-    # allocated before the strip: in this order the heap of a benchmark
-    # run peaks 0.2-0.4 MB lower
     history = np.empty((N + 1, mesh.n_unknowns))
     history[0] = dst1(u0)
 
-    rows = (size + 1) // 2
-    lags = np.zeros(N + 2 * rows)  # memory[1..N-first], zero padded
+    lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
     if memory is not None:
         lags[1:N - first + 1] = memory[1:N - first + 1]
-        # strip[i, c] = lags[i + N + rows - c]: rows r.. of the block at
-        # lo take strip[:, first - lo - r:N + rows - r], the weights of
-        # U_first..U_{lo-1}.  Half a block high, it needs two products
-        # per block and half the memory of a B-row strip (0.5 MB less
-        # peak memory on the benchmark's tables run).
+        # strip[i, c] = lags[i + N + size - c]: row i of the block at lo
+        # takes strip[i, first - lo:], the weights of U_first..U_{lo-1}
         windows = np.lib.stride_tricks.sliding_window_view(lags[::-1],
-                                                           N + rows)
-        strip = np.ascontiguousarray(windows[rows - 1::-1])
+                                                           N + size)
+        strip = np.ascontiguousarray(windows[size - 1::-1])
 
     with np.errstate(over="ignore", invalid="ignore"):
         inverse_hat = _inverse_spectrum(decay, gain, lags[:size])
@@ -192,9 +184,8 @@ def _march(config: SolverConfig, implicit: float,
             hi = min(lo + size, N + 1)
             block = history[lo:hi]
             if memory is not None and lo > first:
-                for r in range(0, hi - lo, rows):
-                    np.matmul(strip[:hi - lo - r, first - lo - r:N + rows - r],
-                              history[first:lo], out=block[r:r + rows])
+                np.matmul(strip[:hi - lo, first - lo:], history[first:lo],
+                          out=block)
                 block *= -gain
             else:
                 block.fill(0.0)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .exponents import VariableExponent
-from .kernel import _RATIO_LIMIT_TIME
-from .special import digamma, gamma
+from .kernel import smooth_factor
+from .special import gamma
 
 
 def assemble_weights(n_steps: int, tau: float,
@@ -48,11 +48,13 @@ def assemble_weights(n_steps: int, tau: float,
         P = d^(1-a) expm1((1-a) log1p(1/j)) / (1-a),
         L = P (ln d - 1/(1-a)) + e^(1-a) log1p(1/j) / (1-a);
 
-    lag 0 takes the diagonal limits.  The exponent is assumed
-    admissible; a lag array numpy cannot size raises ValidationError.
-    The first lag whose Gamma(1 - alpha) is out of range
-    (alpha >= 1 or alpha < -170) or whose weight is not finite raises
-    SolverError naming that lag.
+    lag 0 takes the diagonal limits and R(d) is kernel.smooth_factor.
+    The exponent is assumed admissible; a lag array numpy cannot size
+    raises ValidationError.  Gamma's range is checked first: the first
+    lag whose Gamma(1 - alpha) is out of range (alpha >= 1, alpha < -170
+    or alpha NaN) raises SolverError naming that lag.  Only then are
+    the weights evaluated, and the first lag whose weight is not finite
+    raises SolverError naming it.
     """
     if n_steps < 1:
         raise ValidationError(f"need at least one step, got {n_steps}")
@@ -68,9 +70,14 @@ def assemble_weights(n_steps: int, tau: float,
     one_m = 1.0 - a
     # Gamma(1 - a) and psi(1 - a) need 0 < 1 - a (False for NaN), and
     # Gamma overflows past 171.6
-    ok = (one_m > 0.0) & (one_m < 171.0)
+    bad = np.flatnonzero(~((one_m > 0.0) & (one_m < 171.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise SolverError(
+            f"weight evaluation failed at lag {i} (entries n-k={i}, "
+            f"e.g. n={i + 1}, k=1): Gamma(1 - alpha) out of range for "
+            f"alpha = {float(a[i])!r}")
     with np.errstate(all="ignore"):
-        one_m = np.where(ok, one_m, 1.0)
         e_pow = e ** one_m
         # lag 0: x ln x -> 0 at the singular end of the diagonal panel
         pow_m = e_pow / one_m
@@ -78,18 +85,10 @@ def assemble_weights(n_steps: int, tau: float,
         c, s = one_m[1:], np.log1p(1.0 / j[1:])   # s = ln(e/d)
         pow_m[1:] = d[1:] ** c * np.expm1(c * s) / c
         log_m[1:] = pow_m[1:] * (np.log(d[1:]) - 1.0 / c) + e_pow[1:] * s / c
-        near = d < _RATIO_LIMIT_TIME
-        ratio = np.where(near, d1[0], a / np.where(near, 1.0, d))
-        smooth = -ratio + digamma(one_m) * d1
-        lag = (-d1 * log_m + smooth * pow_m) / gamma(one_m)
-    bad = np.flatnonzero(~ok | ~np.isfinite(lag))
+        lag = (-d1 * log_m + smooth_factor(exp, d) * pow_m) / gamma(one_m)
+    bad = np.flatnonzero(~np.isfinite(lag))
     if bad.size:
         i = int(bad[0])
-        if not ok[i]:
-            raise SolverError(
-                f"weight evaluation failed at lag {i} (entries n-k={i}, "
-                f"e.g. n={i + 1}, k=1): Gamma(1 - alpha) out of range for "
-                f"alpha = {a[i]!r}")
         raise SolverError(
             f"non-finite memory weight at lag {i} (n={i + 1}, k=1)")
     return lag

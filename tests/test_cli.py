@@ -116,6 +116,36 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+_WITHOUT_SCIPY = """
+import sys
+from msdiff.cli import main
+out = ["--out", sys.argv[1]]
+small = ["--N", "8", "--M", "4"]
+runs = [["solve", "--exponent", "exp-figure1"] + small,
+        ["convergence-time", "--exponent", "exp-example2", "--levels", "2"]
+        + small,
+        ["convergence-space", "--levels", "2"] + small,
+        ["figure1", "--T", "2"] + small,
+        ["weights-dump", "--exponent", "zero", "--N", "8"]]
+for argv in runs:
+    assert main(argv + out) == 0, argv
+print(",".join(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def test_built_in_profiles_run_without_loading_scipy(tmp_path):
+    # importing scipy.special, scipy.fft or scipy.linalg adds 50-56 MB of
+    # resident memory to a run of msd, so only a table (cubic spline)
+    # may load scipy
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out.csv")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip().split(",")
+    assert "msdiff" in loaded and "numpy" in loaded
+    assert "scipy" not in loaded
+
+
 @pytest.mark.parametrize("message,shown", [
     ("Unable to allocate 7.45 GiB for an array",
      "Unable to allocate 7.45 GiB for an array"),

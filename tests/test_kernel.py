@@ -5,8 +5,9 @@ import pytest
 
 from msdiff.errors import ValidationError
 from msdiff.exponents import VariableExponent
-from msdiff.kernel import (kernel_prefactor, kernel_value,
-                           log_derivative_factor, smooth_factor)
+from msdiff.kernel import (_RATIO_LIMIT_TIME, kernel_prefactor,
+                           kernel_value, log_derivative_factor,
+                           smooth_factor)
 from msdiff.special import EULER_GAMMA
 
 from oracles import dyadic_quad, lanczos_gamma
@@ -132,3 +133,47 @@ def test_kernel_case_bounds_stable_under_refinement(case, builder, g_env,
     assert max(c_g) <= 1.1 * c_g[0]
     assert max(c_gp) <= 1.1 * c_gp[0]
 
+
+
+_KERNEL_FUNCTIONS = (kernel_prefactor, smooth_factor, log_derivative_factor,
+                     kernel_value)
+
+
+@pytest.mark.parametrize("fn", _KERNEL_FUNCTIONS)
+def test_array_of_times_matches_scalar_calls_bit_for_bit(fn, exp_ex1,
+                                                         exp_ex2, exp_fig1,
+                                                         exp_zero):
+    base = np.concatenate([np.logspace(-14, 0, 57), [3e-13, 0.5, 0.875]])
+    if fn is smooth_factor:
+        # the t -> 0 limit applies below _RATIO_LIMIT_TIME, t = 0 included
+        base = np.concatenate([[0.0, 1e-15, 0.5 * _RATIO_LIMIT_TIME], base])
+    for exp, T in ((exp_ex1, 1.0), (exp_ex2, 1.0), (exp_fig1, 8.0),
+                   (exp_zero, 1.0), (_case2_exponent(), 1.0)):
+        t = T * base
+        got = fn(exp, t)
+        assert got.shape == t.shape
+        want = np.array([fn(exp, ti) for ti in t])
+        assert got.tobytes() == want.tobytes(), exp.name
+        grid = fn(exp, t[:60].reshape(6, 10))
+        assert grid.shape == (6, 10)
+        assert grid.tobytes() == got[:60].tobytes(), exp.name
+
+
+@pytest.mark.parametrize("fn", _KERNEL_FUNCTIONS)
+def test_scalar_time_gives_a_scalar(fn, exp_ex1):
+    for t in (0.25, np.float64(0.25), np.array(0.25), 1):
+        value = fn(exp_ex1, t)
+        assert isinstance(value, float) and not isinstance(value, np.ndarray)
+    assert fn(exp_ex1, np.array([0.25])).shape == (1,)
+
+
+@pytest.mark.parametrize("fn", _KERNEL_FUNCTIONS)
+def test_any_bad_entry_of_an_array_is_rejected(fn, exp_ex1):
+    # t = 0 is the one non-positive time smooth_factor accepts
+    bad = [-1e-300, np.nan] + ([] if fn is smooth_factor else [0.0])
+    for value in bad:
+        t = np.array([0.5, 0.25, value, 0.125])
+        with pytest.raises(ValidationError):
+            fn(exp_ex1, t)
+        with pytest.raises(ValidationError):
+            fn(exp_ex1, t.reshape(2, 2))

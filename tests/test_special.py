@@ -50,6 +50,17 @@ def test_array_arguments_match_scalar_calls():
         gamma(np.array([0.5, -1.0]))
 
 
+@pytest.mark.parametrize("fn", [gamma, digamma])
+def test_scalar_argument_gives_a_scalar(fn):
+    for x in (0.5, np.float64(0.5), np.array(0.5), 2):
+        value = fn(x)
+        assert isinstance(value, float) and not isinstance(value, np.ndarray)
+        assert value == fn(np.array([x]))[0]
+    grid = np.linspace(0.05, 3.0, 12).reshape(3, 4)
+    assert fn(grid).shape == (3, 4)
+    assert np.array_equal(fn(grid).ravel(), fn(grid.ravel()))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, -3.0])
 def test_digamma_rejects_nonpositive(bad):
     with pytest.raises(ValidationError):

@@ -128,8 +128,9 @@ def _source(x, t):
                                2 * B + B // 2 + 1, 3 * B])
 def test_blocked_marcher_matches_direct_oracle(N):
     # block edges at every position: one short block, exactly one, one
-    # plus a single step, several, and a last block that ends one step
-    # into its second half, for all callers of the marcher
+    # plus a single step, several, and a partial last block that takes
+    # only the top B/2 + 1 rows of the strip, for all callers of the
+    # marcher
     mesh, tau = Mesh1D(5), 1.0 / N
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
         exp = exponent_by_name(name, 1.0, 0.4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -169,6 +170,34 @@ def test_assembly_propagates_failures():
     # negative argument for large lags; lag 4 (d = 0.5) is the first
     with pytest.raises(SolverError, match="at lag 4 "):
         assemble_weights(8, 0.125, broken)
+
+
+def test_gamma_range_is_checked_before_weights_are_evaluated():
+    # alpha is NaN at lag 5 alone; alpha' is infinite at lag 2, so lag 2
+    # would be the first non-finite weight, but the Gamma range comes
+    # first and names lag 5
+    def alpha(t):
+        t = np.asarray(t, float)
+        return np.where(np.isclose(t, 0.625), np.nan, 0.5 * t)
+
+    def alpha_d1(t):
+        t = np.asarray(t, float)
+        return np.where(np.isclose(t, 0.25), np.inf, 0.5 + 0.0 * t)
+
+    probe = VariableExponent(
+        name="nan-at-lag-5", alpha=alpha, alpha_d1=alpha_d1,
+        alpha_d2=lambda t: np.zeros_like(np.asarray(t, float)),
+        alpha_star=0.5, deriv_bound=1.0)
+    with pytest.raises(SolverError,
+                       match=r"at lag 5 .*Gamma\(1 - alpha\) out of range "
+                             r"for alpha = nan"):
+        assemble_weights(8, 0.125, probe)
+    # with alpha finite everywhere the infinite alpha' surfaces as the
+    # non-finite weight of lag 2
+    finite = dataclasses.replace(
+        probe, alpha=lambda t: 0.5 * np.asarray(t, float))
+    with pytest.raises(SolverError, match="non-finite memory weight at lag 2 "):
+        assemble_weights(8, 0.125, finite)
 
 
 def test_assembly_parameter_validation(exp_ex1):
