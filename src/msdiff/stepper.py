@@ -44,13 +44,14 @@ is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
 because the memory term needs it anyway).  The transformed block is
 scaled by a power of two, exactly, so data near the overflow threshold
 stays finite wherever the step-by-step sum does.  A block with a
-non-finite value raises SolverError naming its step range.  Snapshots
-are transformed back to nodal values once, in blocks, at the end.  The
-independent checks are the dense oracles of the test suite and its
-direct step-by-step marcher.
+non-finite value raises SolverError naming its step range.  A run
+stays in the sine basis; `SolutionHistory` and the samplers transform
+back only what is read.  The independent checks are the dense oracles
+of the test suite and its direct step-by-step marcher.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,20 +98,39 @@ class SolverConfig:
 
 @dataclass
 class SolutionHistory:
-    """All nodal snapshots U_0..U_N of a run (rows of `snapshots`)."""
+    """Snapshots U_0..U_N of a run: rows dst1(U_n) of `coefficients`.
+
+    `initial` is U_0, the exact Ritz projection.  `final` transforms one
+    row back to nodal values; the first read of `snapshots` allocates a
+    second (N+1) x (M-1) array and keeps it.
+    """
 
     config: SolverConfig
-    snapshots: np.ndarray
+    coefficients: np.ndarray
+    initial: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return self.snapshots.shape[0] - 1
+        return self.coefficients.shape[0] - 1
 
     def times(self) -> np.ndarray:
-        return self.config.tau * np.arange(self.snapshots.shape[0])
+        return self.config.tau * np.arange(self.coefficients.shape[0])
 
     def final(self) -> np.ndarray:
-        return self.snapshots[-1]
+        return self._nodal(self.coefficients[-1:])[0]
+
+    @cached_property
+    def snapshots(self) -> np.ndarray:
+        """Nodal U_0..U_N as rows, transformed B rows at a time."""
+        nodal = np.empty_like(self.coefficients)
+        nodal[0] = self.initial
+        for lo in range(1, nodal.shape[0], _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            nodal[rows] = self._nodal(self.coefficients[rows])
+        return nodal
+
+    def _nodal(self, coefficients: np.ndarray) -> np.ndarray:
+        return dst1(coefficients) * (2.0 / self.config.mesh.m_cells)
 
 
 def solve(config: SolverConfig) -> SolutionHistory:
@@ -137,9 +157,9 @@ def solve(config: SolverConfig) -> SolutionHistory:
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
-# of the back-transform.  In a benchmark sweep over 16..128, 64 and 128
-# ran 3-11% faster than 32 but added 5-10% to peak memory over the
-# step-by-step marcher, against 3-5% for 32; 16 ran 20% slower.
+# of `SolutionHistory.snapshots`.  In a benchmark sweep over 16..128,
+# 64 and 128 ran 3-11% faster than 32 but added 5-10% to peak memory
+# over the step-by-step marcher, against 3-5% for 32; 16 ran 20% slower.
 _BLOCK_ROWS = 32
 
 
@@ -154,8 +174,8 @@ def _march(config: SolverConfig, implicit: float,
     never read (its share sits in `implicit`).  Each block of steps
     lo..hi-1 costs one GEMM with the earlier history and one FFT
     product with the inverse of the in-block Toeplitz matrix (module
-    doc).  Raises SolverError naming the step range of the first block
-    with a non-finite value.
+    doc).  Returns the history in the sine basis.  Raises SolverError
+    naming the step range of the first block with a non-finite value.
     """
     mesh, tau, N = config.mesh, config.tau, config.n_steps
     source = config.source
@@ -205,14 +225,7 @@ def _march(config: SolverConfig, implicit: float,
             if not np.all(np.isfinite(block)):
                 raise SolverError(
                     f"non-finite solution values in steps {lo}..{hi - 1}")
-
-    scale = 2.0 / mesh.m_cells
-    for lo in range(1, N + 1, size):
-        block = history[lo:lo + size]
-        block[:] = dst1(block)
-        block *= scale
-    history[0] = u0
-    return SolutionHistory(config=config, snapshots=history)
+    return SolutionHistory(config=config, coefficients=history, initial=u0)
 
 
 def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,
@@ -236,26 +249,31 @@ def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,
     return np.fft.rfft(inverse, n=2 * size, axis=0)
 
 
+def _sample_weights(history: SolutionHistory, x: float) -> tuple:
+    """P1 weights at x in [0, 1] on nodal U_0 and on rows dst1(U_n).
+
+    DST-I is symmetric, so the second is the back-transform of the first.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValidationError(f"sample position {x} outside [0, 1]")
+    m = history.config.mesh.m_cells
+    cell = min(int(x * m), m - 1)
+    theta = x * m - cell
+    nodal = np.zeros(m + 1)  # boundary nodes included
+    nodal[cell:cell + 2] = 1.0 - theta, theta
+    return nodal[1:-1], history._nodal(nodal[1:-1])
+
+
 def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
     """Piecewise-linear values u(x, t_n) of every snapshot, n = 0..N.
 
     x must lie in [0, 1]; each value interpolates between the two
     nodes bracketing x (boundary nodes count as zero).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"sample position {x} outside [0, 1]")
-    mesh = history.config.mesh
-    snaps = history.snapshots
-    cell = min(int(x * mesh.m_cells), mesh.m_cells - 1)
-    left_x, right_x = cell * mesh.h, (cell + 1) * mesh.h
-    theta = (x - left_x) / (right_x - left_x)
-
-    def node(j):
-        if 0 < j < mesh.m_cells:
-            return snaps[:, j - 1]
-        return np.zeros(snaps.shape[0])
-
-    return (1.0 - theta) * node(cell) + theta * node(cell + 1)
+    nodal, sine = _sample_weights(history, x)
+    series = history.coefficients @ sine
+    series[0] = nodal @ history.initial
+    return series
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
@@ -263,4 +281,6 @@ def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
     if not 0 <= n <= history.n_steps:
         raise ValidationError(
             f"snapshot index {n} outside 0..{history.n_steps}")
-    return float(sample_series(history, x)[n])
+    nodal, sine = _sample_weights(history, x)
+    return float(sine @ history.coefficients[n] if n else
+                 nodal @ history.initial)

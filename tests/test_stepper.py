@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
+from msdiff import stepper
+from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
@@ -18,7 +20,7 @@ from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve)
 from msdiff.stepper import (_BLOCK_ROWS, SolverConfig, _march,
-                            sample_solution, solve)
+                            sample_series, sample_solution, solve)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
@@ -308,3 +310,70 @@ def test_sample_solution_interpolates(exp_zero):
         sample_solution(hist, -0.1, 2)
     with pytest.raises(ValidationError):
         sample_solution(hist, 0.5, 5)
+
+
+@pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3 * B])
+def test_final_and_first_snapshot_need_no_full_back_transform(N, exp_ex1):
+    # a run is kept in the sine basis; final() transforms one row and
+    # must give the bits that the full back-transform gives
+    for mesh in (Mesh1D(2), Mesh1D(33), Mesh1D(128)):
+        cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp_ex1,
+                           initial=u0_quartic)
+        for hist in (solve(cfg), heat_solve(cfg),
+                     constant_subdiffusion_solve(cfg, 0.4)):
+            assert np.array_equal(hist.final(), hist.snapshots[-1])
+            assert np.array_equal(hist.snapshots[0],
+                                  u0_quartic(mesh.interior_nodes()))
+            assert hist.snapshots.shape == (N + 1, mesh.n_unknowns)
+
+
+def _assert_samples_interpolate(hist, x):
+    # reference: P1 interpolation of the nodal snapshots, boundary zeros
+    m_cells = hist.config.mesh.m_cells
+    nodes = np.linspace(0.0, 1.0, m_cells + 1)
+    padded = np.pad(hist.snapshots, ((0, 0), (1, 1)))
+    want = np.array([np.interp(x, nodes, row) for row in padded])
+    bound = 1e-14 * np.abs(hist.snapshots).max()
+    assert np.abs(sample_series(hist, x) - want).max() <= bound, x
+    for n in range(hist.n_steps + 1):
+        assert abs(sample_solution(hist, x, n) - want[n]) <= bound, (x, n)
+
+
+def test_sampling_matches_interpolated_snapshots(exp_ex1):
+    for m_cells in (2, 3, 8, 33, 64):
+        cfg = SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(m_cells),
+                           exponent=exp_ex1, initial=u0_quartic)
+        hist = solve(cfg)
+        nodes = np.linspace(0.0, 1.0, m_cells + 1)
+        for x in np.concatenate((nodes, 0.5 * (nodes[1:] + nodes[:-1]))):
+            _assert_samples_interpolate(hist, float(x))
+        if m_cells % 8 == 0:  # exact nodes: U_0 is read as nodal values
+            got = [sample_series(hist, x)[0] for x in nodes]
+            assert np.array_equal(got, np.pad(hist.initial, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(0.0, 1.0), M=st.integers(2, 40),
+       N=st.sampled_from([1, B + 1]))
+def test_sampling_matches_interpolated_snapshots_at_drawn_points(x, M, N):
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(M),
+                       exponent=example_exponent_1(1.0), initial=u0_sine)
+    _assert_samples_interpolate(constant_subdiffusion_solve(cfg, 0.4), x)
+
+
+def test_studies_never_transform_a_whole_history(tmp_path, monkeypatch):
+    # the tables read final snapshots and figure1 one point per step:
+    # no run may transform more than one row back to nodal values
+    rows, original = [], stepper.dst1
+
+    def counting_dst1(values):
+        rows.append(np.atleast_2d(values).shape[0])
+        return original(values)
+
+    monkeypatch.setattr(stepper, "dst1", counting_dst1)
+    out = str(tmp_path / "out.csv")
+    assert main(["convergence-time", "--N", "32", "--M", "8",
+                 "--levels", "2", "--out", out]) == 0
+    assert main(["figure1", "--N", "64", "--M", "16", "--T", "8.0",
+                 "--out", out]) == 0
+    assert rows and max(rows) == 1
