@@ -22,17 +22,19 @@ from .harness import (KINDS, build_experiment, emit_comparison_csv,
                       run_single_solve, write_text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(kinds=KINDS) -> argparse.ArgumentParser:
+    """The msd parser, with flags only for the subcommands in kinds."""
     parser = argparse.ArgumentParser(
         prog="msd",
         description="Multiscale diffusion solver and experiment harness")
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind)
-        p.add_argument("--config", help="flat key = value config file")
-        for opt in options_for(kind):
-            p.add_argument(opt.flag, dest=opt.field, type=opt.type,
-                           choices=opt.choices, help=opt.help)
+        if kind in kinds:
+            p.add_argument("--config", help="flat key = value config file")
+            for opt in options_for(kind):
+                p.add_argument(opt.flag, dest=opt.field, type=opt.type,
+                               choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -54,7 +56,8 @@ def _run(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    words = set(sys.argv[1:] if argv is None else argv)  # includes the kind
+    args = _build_parser(words).parse_args(argv)
     try:
         text, out = _run(args)
         write_text(text, out)

@@ -21,12 +21,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .exponents import (VariableExponent, cubic_spline, exponent_by_name,
                         read_table_csv, validate_assumption_a)
 from .fem import Mesh1D, discrete_l2_norm
 from .reference import ComparisonSeries, figure_transition_profiles
-from .stepper import SolverConfig, solve
+from .stepper import SolverConfig, solve, solve_ladder
 from .weights import assemble_weights
 
 KINDS = ("solve", "convergence-time", "convergence-space", "figure1",
@@ -115,8 +115,7 @@ class ExperimentConfig:
                              ("M", self.m_cells), ("levels", self.levels)):
             if not 0 < value < math.inf:
                 raise ValidationError(f"{label} = {value} is not in (0, inf)")
-        if self.kind in ("convergence-time", "convergence-space") \
-                and self.levels < 2:
+        if self.kind in _STUDIES and self.levels < 2:
             raise ValidationError(
                 f"convergence studies need at least 2 levels, got {self.levels}")
 
@@ -166,49 +165,31 @@ class RateTable:
         return [r.rate for r in self.rows if r.rate is not None]
 
 
-def _solve(cfg: ExperimentConfig, exponent: VariableExponent, initial,
-           n_steps: int, m_cells: int):
-    return solve(SolverConfig(T=cfg.T, n_steps=n_steps, mesh=Mesh1D(m_cells),
-                              exponent=exponent, initial=initial))
+def _study(cfg: ExperimentConfig, base: int, grid, diff, names: tuple,
+           fixed: str) -> RateTable:
+    """Rate table of the rows P = base, 2 base, ..., base 2^(levels-1).
 
-
-def _refinement_errors(base: int, levels: int, solve_at, diff) -> list:
-    """(P, error) rows for P = base, 2 base, ..., base 2^(levels-1).
-
-    Row P compares the final snapshots at P/2 and P, so the ladder
-    base/2, base, ..., base 2^(levels-1) is solved once and each run
-    serves two neighbouring rows.  A run that raises SolverError leaves
-    None (printed as NaN) in every row that uses it.
+    Row P holds diff(final at P/2, final at P, P), grid(P) giving the
+    (N, M) of the run at P, so the ladder base/2, ..., base 2^(levels-1)
+    is solved once, by stepper.solve_ladder, and each run serves two
+    rows.  A failed run leaves NaN in every row that uses it.  names
+    are (kind, parameter, error) of the table.
     """
-    finals = []
-    for p in (base // 2 * 2 ** i for i in range(levels + 1)):
-        try:
-            finals.append(solve_at(p))
-        except SolverError:
-            finals.append(None)
-    entries = []
-    for lvl, (coarse, fine) in enumerate(zip(finals, finals[1:])):
-        p = base * 2 ** lvl
-        err = None if coarse is None or fine is None else diff(coarse, fine, p)
-        entries.append((p, err))
-    return entries
-
-
-def _attach_rates(kind, param_name, error_name, cfg, fixed, entries):
-    rows = []
-    prev = None
-    for level, (param, err) in enumerate(entries):
-        rate = None
-        if prev is not None and err is not None \
-                and 0.0 < prev < math.inf and 0.0 < err < math.inf:
-            rate = math.log2(prev / err)
-        rows.append(RateRow(level=level, param=param,
-                            error=math.nan if err is None else err,
-                            rate=rate))
+    exponent, initial = cfg.build_exponent(), cfg.build_initial()
+    params = [base // 2 * 2 ** i for i in range(cfg.levels + 1)]
+    finals = solve_ladder([
+        SolverConfig(T=cfg.T, n_steps=n, mesh=Mesh1D(m), exponent=exponent,
+                     initial=initial) for n, m in map(grid, params)])
+    rows, prev = [], math.nan
+    for level, p in enumerate(params[1:]):
+        coarse, fine = finals[level], finals[level + 1]
+        err = math.nan if coarse is None or fine is None \
+            else diff(coarse, fine, p)
+        rate = math.log2(prev / err) if 0.0 < prev < math.inf \
+            and 0.0 < err < math.inf else None
+        rows.append(RateRow(level=level, param=p, error=err, rate=rate))
         prev = err
-    return RateTable(kind=kind, param_name=param_name, error_name=error_name,
-                     exponent=cfg.exponent, u0=cfg.u0, fixed=fixed,
-                     rows=tuple(rows))
+    return RateTable(*names, cfg.exponent, cfg.u0, fixed, tuple(rows))
 
 
 def run_convergence_time(cfg: ExperimentConfig) -> RateTable:
@@ -220,14 +201,10 @@ def run_convergence_time(cfg: ExperimentConfig) -> RateTable:
     """
     if cfg.n_steps % 2 != 0:
         raise ValidationError("base N must be even (the coarse mate is N/2)")
-    exponent, initial = cfg.build_exponent(), cfg.build_initial()
     h = 1.0 / cfg.m_cells
-    entries = _refinement_errors(
-        cfg.n_steps, cfg.levels,
-        lambda n: _solve(cfg, exponent, initial, n, cfg.m_cells).final(),
-        lambda coarse, fine, n: discrete_l2_norm(coarse - fine, h))
-    return _attach_rates("convergence-time", "N", "E2", cfg,
-                         f"M={cfg.m_cells}", entries)
+    return _study(cfg, cfg.n_steps, lambda n: (n, cfg.m_cells),
+                  lambda coarse, fine, n: discrete_l2_norm(coarse - fine, h),
+                  ("convergence-time", "N", "E2"), f"M={cfg.m_cells}")
 
 
 def run_convergence_space(cfg: ExperimentConfig) -> RateTable:
@@ -238,14 +215,10 @@ def run_convergence_space(cfg: ExperimentConfig) -> RateTable:
     """
     if cfg.m_cells % 2 != 0 or cfg.m_cells < 4:
         raise ValidationError("base M must be even and >= 4")
-    exponent, initial = cfg.build_exponent(), cfg.build_initial()
-    entries = _refinement_errors(
-        cfg.m_cells, cfg.levels,
-        lambda m: _solve(cfg, exponent, initial, cfg.n_steps, m).final(),
-        lambda coarse, fine, m: discrete_l2_norm(coarse - fine[1::2],
-                                                 1.0 / m))
-    return _attach_rates("convergence-space", "M", "G2", cfg,
-                         f"N={cfg.n_steps}", entries)
+    return _study(cfg, cfg.m_cells, lambda m: (cfg.n_steps, m),
+                  lambda coarse, fine, m: discrete_l2_norm(coarse - fine[1::2],
+                                                           1.0 / m),
+                  ("convergence-space", "M", "G2"), f"N={cfg.n_steps}")
 
 
 def run_figure_comparison(cfg: ExperimentConfig) -> ComparisonSeries:
@@ -258,8 +231,8 @@ def run_figure_comparison(cfg: ExperimentConfig) -> ComparisonSeries:
 
 def run_single_solve(cfg: ExperimentConfig):
     """One multiscale run; returns (x nodes incl. boundary, final values)."""
-    hist = _solve(cfg, cfg.build_exponent(), cfg.build_initial(),
-                  cfg.n_steps, cfg.m_cells)
+    hist = solve(SolverConfig(cfg.T, cfg.n_steps, Mesh1D(cfg.m_cells),
+                              cfg.build_exponent(), cfg.build_initial()))
     x = np.concatenate(([0.0], hist.config.mesh.interior_nodes(), [1.0]))
     u = np.concatenate(([0.0], hist.final(), [0.0]))
     return x, u
@@ -274,9 +247,13 @@ def format_sig5(x: float) -> str:
     e.g. 1.7768e-4."""
     if not math.isfinite(x):
         return "nan"
-    s = f"{x:.4e}"
-    mantissa, expo = s.split("e")
+    mantissa, expo = f"{x:.4e}".split("e")
     return f"{mantissa}e{int(expo)}"
+
+
+# (key, RateTable field) of the '# key=value' header lines of a CSV table
+_HEADER = (("kind", "kind"), ("param", "param_name"), ("error", "error_name"),
+           ("exponent", "exponent"), ("u0", "u0"), ("fixed", "fixed"))
 
 
 def emit_table(table: RateTable, fmt: str) -> str:
@@ -286,12 +263,8 @@ def emit_table(table: RateTable, fmt: str) -> str:
         raise ValidationError("refusing to emit an empty table")
     if fmt == "csv":
         out = io.StringIO()
-        out.write(f"# kind={table.kind}\n")
-        out.write(f"# param={table.param_name}\n")
-        out.write(f"# error={table.error_name}\n")
-        out.write(f"# exponent={table.exponent}\n")
-        out.write(f"# u0={table.u0}\n")
-        out.write(f"# fixed={table.fixed}\n")
+        for key, field in _HEADER:
+            out.write(f"# {key}={getattr(table, field)}\n")
         out.write("level,param,error,rate\n")
         for r in table.rows:
             rate = "*" if r.rate is None else repr(r.rate)
@@ -317,8 +290,7 @@ def parse_rate_table(text: str) -> RateTable:
     """Inverse of emit_table(..., 'csv')."""
     meta = {}
     rows = []
-    lines = text.splitlines()
-    for line in lines:
+    for line in text.splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             meta[key] = value
@@ -328,9 +300,8 @@ def parse_rate_table(text: str) -> RateTable:
                                 error=float(error),
                                 rate=None if rate == "*" else float(rate)))
     try:
-        return RateTable(kind=meta["kind"], param_name=meta["param"],
-                         error_name=meta["error"], exponent=meta["exponent"],
-                         u0=meta["u0"], fixed=meta["fixed"], rows=tuple(rows))
+        return RateTable(rows=tuple(rows),
+                         **{field: meta[key] for key, field in _HEADER})
     except KeyError as err:
         raise ValidationError(f"malformed table header: missing {err}") from err
 

@@ -20,8 +20,8 @@ from .exponents import figure_transition_exponent
 from .fem import Mesh1D
 # sample_solution is not called here, but perfbench/spans.py traces it
 # under this module's name
-from .stepper import (SolverConfig, SolutionHistory, _march,  # noqa: F401
-                      sample_series, sample_solution, solve)
+from .stepper import (SolverConfig, SolutionHistory,  # noqa: F401
+                      _march_meshes, sample_series, sample_solution, solve)
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
@@ -30,7 +30,7 @@ def heat_solve(config: SolverConfig) -> SolutionHistory:
     Ignores config.exponent; with a zero exponent the multiscale
     stepper must reproduce this history to roundoff.
     """
-    return _march(config, 1.0)
+    return _march_meshes([config], 1.0)[0]
 
 
 def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
@@ -57,7 +57,7 @@ def constant_subdiffusion_solve(config: SolverConfig,
     """
     weights = cq_weights(alpha_bar, config.n_steps)
     scale = config.tau ** (-alpha_bar)
-    return _march(config, scale, scale * weights, first=0)
+    return _march_meshes([config], scale, scale * weights, first=0)[0]
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,15 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
 
     alpha_end is both the terminal value of the ramp and the constant
     order of the comparison model.  Returns the centre-point series of
-    all three runs.
+    all three runs; each run is sampled and dropped before the next.
     """
     if initial is None:
         initial = _default_initial
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),
                           initial=initial)
-    multi = solve(config)
-    heat = heat_solve(config)
-    sub = constant_subdiffusion_solve(config, alpha_end)
-
-    return ComparisonSeries(
-        times=multi.times(),
-        heat=sample_series(heat, 0.5),
-        multiscale=sample_series(multi, 0.5),
-        subdiffusion=sample_series(sub, 0.5),
-    )
+    runs = (solve, heat_solve,
+            lambda c: constant_subdiffusion_solve(c, alpha_end))
+    multi, heat, sub = (sample_series(run(config), 0.5) for run in runs)
+    return ComparisonSeries(config.tau * np.arange(n_steps + 1), heat, multi,
+                            sub)

@@ -41,18 +41,20 @@ steps and, per block lo..hi-1:
 
 A run takes N/B + B interpreter steps instead of N, and the memory sum
 is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
-because the memory term needs it anyway).  The transformed block is
-scaled by a power of two, exactly, so data near the overflow threshold
-stays finite wherever the step-by-step sum does.  A block with a
-non-finite value raises SolverError naming its step range.  A run
-stays in the sine basis; `SolutionHistory` and the samplers transform
-back only what is read.  The independent checks are the dense oracles
-of the test suite and its direct step-by-step marcher.
+because the memory term needs it anyway).  Modes never mix, so the
+marcher takes a `ModeSet`, the modes of one or more meshes on one time
+grid; `solve_ladder` marches the meshes of a ladder that share N as
+one set.  Each mode of a block is scaled by a power of two, exactly, so
+data near the overflow threshold stays finite wherever the step-by-step
+sum does, and no mesh costs another digits.  A mesh with a non-finite
+value drops out alone; SolverError, naming the block's steps, comes
+once none is left.  A run stays in the sine basis; `SolutionHistory`
+and the samplers transform back only what is read.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -133,27 +135,58 @@ class SolutionHistory:
         return dst1(coefficients) * (2.0 / self.config.mesh.m_cells)
 
 
+class ModeSet(NamedTuple):
+    """Sine modes marched together on one time grid (see _march): mode
+    k has eigenvalues lam_mass[k], lam_stiff[k] and start value
+    dst1(U_0)[k]; columns edges[i]..edges[i+1]-1 are level i (one mesh).
+    forcing(lo, hi), if given, returns rows dst1(F_n), n = lo..hi-1."""
+
+    tau: float
+    n_steps: int
+    lam_mass: np.ndarray
+    lam_stiff: np.ndarray
+    start: np.ndarray
+    edges: tuple
+    forcing: Optional[Callable[[int, int], np.ndarray]] = None
+
+
 def solve(config: SolverConfig) -> SolutionHistory:
     """Run the scheme over n = 1..N starting from the projected data.
 
     Validates the exponent, assembles the lag vector of memory weights
-    and marches with implicit coefficient 1 + lag[0], B steps per block
-    (see _march).  Raises SolverError on a non-finite snapshot, naming
-    its block of steps, or on a non-positive 1 + lag[0], the only step
-    check: coarse steps can amplify (a random spline run grew 6.3x at
-    N = 2).  1 + lag[0] >= sum_{j>=1} |lag[j]| suffices for bounded
-    modes but is not enforced: Table 2's runs (exp-example2, T = 1,
-    N = 32, 64) miss it (1.090 < 1.123, 1.056 < 1.159) and keep
-    max_n ||U_n|| / ||U_0|| at 1.0 with 63 modes at M = 64.
+    and marches with implicit coefficient 1 + lag[0] (see _march).
+    Raises SolverError on a non-finite snapshot, naming its block of
+    steps, or on a non-positive 1 + lag[0], the only step check; the
+    README says why the sufficient 1 + lag[0] >= sum_{j>=1} |lag[j]|
+    is not enforced.
     """
     validate_assumption_a(config.exponent, config.T)
     lag = assemble_weights(config.n_steps, config.tau, config.exponent)
-    implicit = 1.0 + lag[0]
-    if not implicit > 0.0:
-        raise SolverError(
-            f"implicit memory coefficient 1 + {lag[0]} <= 0 at "
-            f"tau = {config.tau}; refine the time step")
-    return _march(config, implicit, lag, first=1)
+    return _march_meshes([config], 1.0 + lag[0], lag)[0]
+
+
+def solve_ladder(configs: list) -> list:
+    """Final nodal values of each config of a ladder; None where it failed.
+
+    The configs share T, exponent and source.  The exponent is validated
+    once; the configs of one N march as one mode set and match
+    solve(config).final() to rounding, or give None, each alone, where
+    solve raises SolverError.
+    """
+    validate_assumption_a(configs[0].exponent, configs[0].T)
+    finals = [None] * len(configs)
+    for n_steps in sorted({c.n_steps for c in configs}):
+        picked = [i for i, c in enumerate(configs) if c.n_steps == n_steps]
+        group = [configs[i] for i in picked]
+        try:
+            lag = assemble_weights(n_steps, group[0].tau, group[0].exponent)
+            runs = _march_meshes(group, 1.0 + lag[0], lag)
+        except SolverError:
+            continue
+        for i, run in zip(picked, runs):
+            finals[i] = None if run is None else run.final()
+        del runs, run  # one history at a time: free it before the next
+    return finals
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
@@ -163,31 +196,53 @@ def solve(config: SolverConfig) -> SolutionHistory:
 _BLOCK_ROWS = 32
 
 
-def _march(config: SolverConfig, implicit: float,
-           memory: Optional[np.ndarray] = None,
-           first: int = 1) -> SolutionHistory:
-    """Step n = 1..N from the projected initial data, B steps per block.
+def _march_meshes(configs: list, implicit: float,
+                  memory: Optional[np.ndarray] = None, first: int = 1):
+    """SolutionHistory of each config, None where its run failed: the
+    configs share tau, N and source and march as one ModeSet (see
+    _march for the other arguments, and the SolverError)."""
+    tau, source = configs[0].tau, configs[0].source
+    initial = [ritz_projection(c.mesh, c.initial) for c in configs]
+    lam_mass, lam_stiff = map(np.concatenate, zip(
+        *(sine_eigenvalues(c.mesh) for c in configs)))
+    edges = np.cumsum([0] + [c.mesh.n_unknowns for c in configs])
+    forcing = None if source is None else lambda lo, hi: np.hstack([dst1([
+        load_vector(c.mesh, lambda x, t=n * tau: source(x, t))
+        for n in range(lo, hi)]) for c in configs])
+    history, alive = _march(ModeSet(
+        tau, configs[0].n_steps, lam_mass, lam_stiff,
+        np.concatenate([dst1(u0) for u0 in initial]), tuple(edges),
+        forcing), implicit, memory, first)
+    return [SolutionHistory(c, history[:, lo:hi], u) if ok else None
+            for c, u, lo, hi, ok in zip(configs, initial, edges, edges[1:],
+                                        alive)]
 
-    config supplies the grid, horizon, initial data and source; its
-    exponent is not read here.  implicit must be positive.  memory[j]
-    multiplies U_{n-j}; it needs entries 0..N-first, and entry 0 is
-    never read (its share sits in `implicit`).  Each block of steps
-    lo..hi-1 costs one GEMM with the earlier history and one FFT
-    product with the inverse of the in-block Toeplitz matrix (module
-    doc).  Returns the history in the sine basis.  Raises SolverError
-    naming the step range of the first block with a non-finite value.
+
+def _march(modes: ModeSet, implicit: float,
+           memory: Optional[np.ndarray] = None,
+           first: int = 1) -> tuple:
+    """Step n = 1..N from modes.start, B steps per block.
+
+    memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
+    entry 0 is never read (its share sits in `implicit`, which must be
+    positive, else SolverError).  A block of steps lo..hi-1 costs one
+    GEMM with the earlier history and one FFT product (module doc).
+    Returns the (N+1) x modes history and a flag per level of
+    modes.edges, False once the level had a non-finite value.  Raises
+    SolverError naming the step range where the last level failed.
     """
-    mesh, tau, N = config.mesh, config.tau, config.n_steps
-    source = config.source
-    lam_mass, lam_stiff = sine_eigenvalues(mesh)
-    denom = lam_mass / tau + implicit * lam_stiff
-    decay = lam_mass / (tau * denom)
+    tau, N = modes.tau, modes.n_steps
+    if not implicit > 0.0:
+        raise SolverError(f"implicit memory coefficient {implicit} <= 0 at "
+                          f"tau = {tau}; refine the time step")
+    denom = modes.lam_mass / tau + implicit * modes.lam_stiff
+    decay = modes.lam_mass / (tau * denom)
     inv_denom = 1.0 / denom
-    gain = lam_stiff * inv_denom
+    gain = modes.lam_stiff * inv_denom
     size = min(_BLOCK_ROWS, N)
-    u0 = ritz_projection(mesh, config.initial)
-    history = np.empty((N + 1, mesh.n_unknowns))
-    history[0] = dst1(u0)
+    history = np.empty((N + 1, modes.start.size))
+    history[0] = modes.start
+    alive = np.ones(len(modes.edges) - 1, bool)
 
     lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
     if memory is not None:
@@ -210,22 +265,23 @@ def _march(config: SolverConfig, implicit: float,
             else:
                 block.fill(0.0)
             block[0] += decay * history[lo - 1]
-            if source is not None:
-                block += inv_denom * dst1([
-                    load_vector(mesh, lambda x, t=n * tau: source(x, t))
-                    for n in range(lo, hi)])
-            # scaling by a power of two is exact and keeps the transform
-            # of data near the overflow threshold finite
-            shift = np.frexp(max(block.max(), -block.min()))[1]
+            if modes.forcing is not None:
+                block += inv_denom * modes.forcing(lo, hi)
+            # scaling each mode by a power of two is exact and keeps the
+            # transform of data near the overflow threshold finite
+            shift = np.frexp(np.abs(block).max(axis=0))[1]
             np.ldexp(block, -shift, out=block)
             spectrum = np.fft.rfft(block, n=2 * size, axis=0)
             spectrum *= inverse_hat
             block[:] = np.fft.irfft(spectrum, n=2 * size, axis=0)[:hi - lo]
             np.ldexp(block, shift, out=block)
             if not np.all(np.isfinite(block)):
-                raise SolverError(
-                    f"non-finite solution values in steps {lo}..{hi - 1}")
-    return SolutionHistory(config=config, coefficients=history, initial=u0)
+                alive &= np.logical_and.reduceat(
+                    np.isfinite(block).all(axis=0), modes.edges[:-1])
+                if not alive.any():
+                    raise SolverError("non-finite solution values in steps "
+                                      f"{lo}..{hi - 1}")
+    return history, alive
 
 
 def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,

@@ -6,9 +6,9 @@ evaluation of the closed-form memory weights, dense Gaussian
 elimination, a Lanczos gamma independent of math.gamma,
 high-resolution quadrature of interpolants, a dense time-stepping
 loop that shares nothing with the library's marcher beyond the P1
-matrices and load vector, and the direct sine-mode marcher that sums
-the whole history at every step, where the library solves blocks of
-steps at once.
+matrices and load vector, the direct sine-mode marcher that sums the
+whole history at every step, where the library solves blocks of steps
+at once, and a scalar recurrence of single modes in python floats.
 """
 
 import math
@@ -265,6 +265,33 @@ def direct_march(config, implicit, memory=None, first=1) -> np.ndarray:
     hist = dst1(hist) * (2.0 / mesh.m_cells)
     hist[0] = u0
     return hist
+
+
+def scalar_march(lam_mass, lam_stiff, start, tau, n_steps, implicit,
+                 memory=None, first=1) -> np.ndarray:
+    """Coefficients u_0..u_N (rows) of independent scalar modes.
+
+    Mode k takes one backward-Euler step at a time in python floats,
+
+        (lam_mass[k]/tau + implicit lam_stiff[k]) u_n
+            = (lam_mass[k]/tau) u_{n-1}
+              - lam_stiff[k] sum_{j=first..n-1} memory[n-j] u_j,
+
+    with the memory sum taken by math.fsum: no mesh, no sine
+    transform, no blocking, no FFT and no power-of-two scaling.
+    """
+    rows = []
+    for mass, stiff, u0 in zip(lam_mass, lam_stiff, start):
+        mass, stiff = float(mass) / tau, float(stiff)
+        u = [float(u0)]
+        for n in range(1, n_steps + 1):
+            rhs = mass * u[n - 1]
+            if memory is not None:
+                rhs -= stiff * math.fsum(float(memory[n - j]) * u[j]
+                                         for j in range(first, n))
+            u.append(rhs / (mass + implicit * stiff))
+        rows.append(u)
+    return np.array(rows).T
 
 
 def interpolant_l2_norm_sq(mesh, values) -> float:

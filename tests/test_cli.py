@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msdiff.cli import _build_parser, main
-from msdiff.harness import KINDS, OPTIONS
+from msdiff.harness import KINDS, OPTIONS, options_for
 
 _EVERY_KIND = {"--alpha-end", "--T", "--N", "--out"}
 _EXPONENT = {"--exponent", "--exponent-table"}
@@ -64,6 +64,34 @@ def test_each_kind_accepts_exactly_its_flags():
     assert len(DROPPED_PAIRS) == sum(
         len(set().union(*EXPECTED_FLAGS.values()) - flags)
         for flags in EXPECTED_FLAGS.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_help_lists_every_option(kind, capsys):
+    # main builds the flags of the named kind alone; its help must still
+    # show every option that kind reads
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--help"])
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    for flag in ["--config"] + [opt.flag for opt in options_for(kind)]:
+        assert flag in shown, (kind, flag)
+
+
+def test_top_level_help_and_unknown_kind_do_not_depend_on_the_kind_read(
+        capsys):
+    full, bare = _build_parser(), _build_parser(set())
+    assert full.format_help() == bare.format_help()
+    errors = []
+    for parser in (full, bare):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["mystery"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid choice: 'mystery'" in errors[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["mystery", "--N", "4"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("kind,key,value", DROPPED_PAIRS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,3 +106,16 @@ def test_comparison_rejects_bad_terminal_exponent():
     with pytest.raises(ValidationError):
         figure_transition_profiles(T=8.0, alpha_end=1.0, n_steps=8,
                                    m_cells=8)
+
+
+def test_transition_profiles_hold_one_history_at_a_time():
+    # each run is sampled and dropped before the next solve: at figure1
+    # size one (N+1) x (M-1) history is about 1.04 MB, three were 3.47 MB
+    tracemalloc.start()
+    try:
+        figure_transition_profiles(T=8.0, alpha_end=0.4, n_steps=1024,
+                                   m_cells=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak

@@ -19,13 +19,14 @@ from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
                         discrete_l2_norm)
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve)
-from msdiff.stepper import (_BLOCK_ROWS, SolverConfig, _march,
-                            sample_series, sample_solution, solve)
+from msdiff.stepper import (_BLOCK_ROWS, ModeSet, SolverConfig, _march,
+                            _march_meshes, sample_series, sample_solution,
+                            solve, solve_ladder)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
 from oracles import (dense_from_tridiag, dense_gauss_solve, dense_history,
-                     direct_march)
+                     direct_march, scalar_march)
 
 B = _BLOCK_ROWS
 
@@ -117,7 +118,7 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
 
 
 def _assert_matches_direct(cfg, implicit, memory=None, first=1):
-    got = _march(cfg, implicit, memory, first).snapshots
+    got = _march_meshes([cfg], implicit, memory, first)[0].snapshots
     want = direct_march(cfg, implicit, memory, first)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -154,6 +155,104 @@ def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
     _assert_matches_direct(cfg, 1.0 + lag[0], lag)
 
 
+_SIGNED = st.floats(0.01, 1.0) | st.floats(-1.0, -0.01)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([31, 32, 33, 65]), first=st.sampled_from([0, 1]),
+       modes=st.lists(st.tuples(st.floats(1e-4, 1.0), st.floats(1e-3, 1e4),
+                                _SIGNED), min_size=1, max_size=6),
+       name=st.sampled_from(["exp-example1", "exp-example2", "exp-figure1",
+                             "zero"]),
+       alpha=st.floats(0.05, 0.95))
+def test_mode_set_marcher_matches_scalar_recurrence(N, first, modes, name,
+                                                    alpha):
+    # random scalar modes (lam_mass, lam_stiff > 0) without a mesh: the
+    # multiscale lag (first = 1) or the CQ weights (first = 0), N on
+    # both sides of the block edges B and 2B
+    tau = 1.0 / N
+    if first:
+        memory = assemble_weights(N, tau, exponent_by_name(name, 1.0, alpha))
+        implicit = 1.0 + memory[0]
+    else:
+        implicit = tau ** -alpha
+        memory = implicit * cq_weights(alpha, N)
+    lam_mass, lam_stiff, start = map(np.array, zip(*modes))
+    got, alive = _march(ModeSet(tau, N, lam_mass, lam_stiff, start,
+                                (0, start.size)), implicit, memory, first)
+    want = scalar_march(lam_mass, lam_stiff, start, tau, N, implicit,
+                        memory, first)
+    assert alive.tolist() == [True]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_LADDERS = {  # (N, M) of each run: Tables 1-2's space ladders, a mixed one
+    "table1-space": [(64, m) for m in (4, 8, 16, 32, 64, 128)],
+    "table2-space": [(64, m) for m in (8, 16, 32, 64, 128, 256)],
+    "mixed": [(32, 4), (64, 8), (32, 16), (B + 1, 2), (64, 3)],
+}
+
+
+@pytest.mark.parametrize("ladder", sorted(_LADDERS))
+@pytest.mark.parametrize("name", ["exp-example1", "exp-example2",
+                                  "exp-figure1", "zero"])
+def test_ladder_finals_match_separate_solves(ladder, name):
+    # the runs of one N march as one mode set; each final stays within
+    # 1e-14 (relative, max norm) of its own solve
+    exp = exponent_by_name(name, 1.0, 0.4)
+    initial = u0_quartic if ladder == "table2-space" else u0_sine
+    configs = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m), exponent=exp,
+                            initial=initial) for n, m in _LADDERS[ladder]]
+    for cfg, got in zip(configs, solve_ladder(configs)):
+        want = solve(cfg).final()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), cfg
+
+
+def _huge(x):
+    x = np.asarray(x, float)
+    inside = (x > 1e-9) & (x < 1.0 - 1e-9)
+    return np.where(inside, 1e307 * np.sin(math.pi * x), 0.0)
+
+
+def _nan_inside(x):
+    x = np.asarray(x, float)
+    return np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
+
+
+def _small(x):
+    return 1e-6 * u0_quartic(x)
+
+
+def test_one_bad_level_leaves_the_others_alone(exp_ex1):
+    # levels marched as one set: data near the overflow threshold on one
+    # mesh must cost the small data of the others no digits (each mode
+    # is scaled alone; one scale for all would push them to subnormal
+    # numbers), and a mesh whose values turn non-finite comes back None
+    # by itself
+    meshes = (4, 8, 16, 32, 64)
+    for bad, initial in ((2, _huge), (2, _nan_inside), (0, _nan_inside),
+                         (0, _huge)):
+        configs = [SolverConfig(T=1.0, n_steps=2 * B + 3, mesh=Mesh1D(m),
+                                exponent=exp_ex1,
+                                initial=initial if i == bad else _small)
+                   for i, m in enumerate(meshes)]
+        finals = solve_ladder(configs)
+        for i, (cfg, got) in enumerate(zip(configs, finals)):
+            if i == bad and initial is _nan_inside:
+                assert got is None
+                with pytest.raises(SolverError, match="in steps 1\\.\\."):
+                    solve(cfg)
+                continue
+            want = solve(cfg).final()
+            assert np.all(np.isfinite(want))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # every level failed: None throughout, no exception
+    configs = [SolverConfig(T=1.0, n_steps=B, mesh=Mesh1D(m),
+                            exponent=exp_ex1, initial=_nan_inside)
+               for m in meshes]
+    assert solve_ladder(configs) == [None] * len(meshes)
+
+
 def test_data_near_the_overflow_threshold_completes(exp_ex1):
     # the blocked solve transforms sums of up to 2B values; scaled by a
     # power of two it stays finite wherever the step-by-step sum does
@@ -182,7 +281,7 @@ def test_amplifying_memory_raises_solver_error_naming_steps(exp_ex1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="non-finite") as err:
-            _march(cfg, 1.0, memory)
+            _march_meshes([cfg], 1.0, memory)
     lo, hi = re.search(r"in steps (\d+)\.\.(\d+)$", str(err.value)).groups()
     assert int(lo) <= first_bad <= int(hi)
 
@@ -373,6 +472,8 @@ def test_studies_never_transform_a_whole_history(tmp_path, monkeypatch):
     monkeypatch.setattr(stepper, "dst1", counting_dst1)
     out = str(tmp_path / "out.csv")
     assert main(["convergence-time", "--N", "32", "--M", "8",
+                 "--levels", "2", "--out", out]) == 0
+    assert main(["convergence-space", "--N", "32", "--M", "8",
                  "--levels", "2", "--out", out]) == 0
     assert main(["figure1", "--N", "64", "--M", "16", "--T", "8.0",
                  "--out", out]) == 0
