@@ -7,11 +7,14 @@ Each subcommand takes exactly the flags of the options its kind reads
 (`harness.OPTIONS`); the flag of config key `alpha_end` is
 `--alpha-end`.  Config files are flat 'key = value' text with the same
 keys, and a flag overrides the file.  A flag or key the kind does not
-read is invalid input.  Exit codes: 0 success, 2 invalid input,
-3 solver failure (including running out of memory).
+read is invalid input.  The parser is built once per process, on the
+first call of `main`, and every later call parses with it.  Exit codes:
+0 success, 2 invalid input, 3 solver failure (including running out of
+memory).
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import SolverError, ValidationError
@@ -22,19 +25,19 @@ from .harness import (KINDS, build_experiment, emit_comparison_csv,
                       run_single_solve, write_text)
 
 
-def _build_parser(kinds=KINDS) -> argparse.ArgumentParser:
-    """The msd parser, with flags only for the subcommands in kinds."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The msd parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="msd",
         description="Multiscale diffusion solver and experiment harness")
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         p = sub.add_parser(kind)
-        if kind in kinds:
-            p.add_argument("--config", help="flat key = value config file")
-            for opt in options_for(kind):
-                p.add_argument(opt.flag, dest=opt.field, type=opt.type,
-                               choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="flat key = value config file")
+        for opt in options_for(kind):
+            p.add_argument(opt.flag, dest=opt.field, type=opt.type,
+                           choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -56,8 +59,7 @@ def _run(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    words = set(sys.argv[1:] if argv is None else argv)  # includes the kind
-    args = _build_parser(words).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         text, out = _run(args)
         write_text(text, out)

@@ -171,13 +171,21 @@ def load_vector(mesh: Mesh1D, f) -> np.ndarray:
 def ritz_projection(mesh: Mesh1D, u0) -> np.ndarray:
     """Energy projection onto the P1 space: nodal interpolation in 1-D.
 
-    u0 must vanish at both boundary points (checked to 1e-12).
+    u0 must vanish at both boundary points, to 1e-12 times
+    max(1, max |u0| at the interior nodes): the model is linear, so
+    scaling the data does not change whether it is admissible.
     """
+    values = np.asarray(u0(mesh.interior_nodes()), float)
     ends = np.asarray(u0(np.array([0.0, 1.0])), float)
-    if np.abs(ends).max() > 1e-12:
+    if np.abs(ends).max() > end_tolerance(values):
         raise ValidationError(
             f"initial data must vanish on the boundary, got {ends}")
-    return np.asarray(u0(mesh.interior_nodes()), float)
+    return values
+
+
+def end_tolerance(values: np.ndarray) -> float:
+    """Largest end value admitted beside interior values `values`."""
+    return 1e-12 * max(1.0, np.abs(values).max(initial=0.0))
 
 
 def discrete_l2_norm(values: np.ndarray, h: float) -> float:

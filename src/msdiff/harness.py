@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .exponents import (VariableExponent, cubic_spline, exponent_by_name,
                         read_table_csv, validate_assumption_a)
-from .fem import Mesh1D, discrete_l2_norm
+from .fem import Mesh1D, discrete_l2_norm, end_tolerance
 from .reference import ComparisonSeries, figure_transition_profiles
 from .stepper import SolverConfig, solve, solve_ladder
 from .weights import assemble_weights
@@ -134,7 +134,7 @@ class ExperimentConfig:
         if self.u0_table is None:
             raise ValidationError("this run needs --u0-table")
         data = read_table_csv(self.u0_table, "x,value")
-        if abs(data[0, 1]) > 1e-12 or abs(data[-1, 1]) > 1e-12:
+        if np.abs(data[[0, -1], 1]).max() > end_tolerance(data[1:-1, 1]):
             raise ValidationError(
                 f"{self.u0_table}: sampled initial data must vanish at the ends")
         return cubic_spline(data[:, 0], data[:, 1], self.u0_table)

@@ -115,9 +115,6 @@ class SolutionHistory:
     def n_steps(self) -> int:
         return self.coefficients.shape[0] - 1
 
-    def times(self) -> np.ndarray:
-        return self.config.tau * np.arange(self.coefficients.shape[0])
-
     def final(self) -> np.ndarray:
         return self._nodal(self.coefficients[-1:])[0]
 
@@ -305,10 +302,13 @@ def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,
     return np.fft.rfft(inverse, n=2 * size, axis=0)
 
 
-def _sample_weights(history: SolutionHistory, x: float) -> tuple:
-    """P1 weights at x in [0, 1] on nodal U_0 and on rows dst1(U_n).
+def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
+    """Piecewise-linear values u(x, t_n) of every snapshot, n = 0..N.
 
-    DST-I is symmetric, so the second is the back-transform of the first.
+    x must lie in [0, 1]; each value interpolates between the two
+    nodes bracketing x (boundary nodes count as zero).  The P1 weights
+    at x act on the nodal U_0 and, back-transformed (DST-I is
+    symmetric), on the rows dst1(U_n).
     """
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"sample position {x} outside [0, 1]")
@@ -317,26 +317,15 @@ def _sample_weights(history: SolutionHistory, x: float) -> tuple:
     theta = x * m - cell
     nodal = np.zeros(m + 1)  # boundary nodes included
     nodal[cell:cell + 2] = 1.0 - theta, theta
-    return nodal[1:-1], history._nodal(nodal[1:-1])
-
-
-def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
-    """Piecewise-linear values u(x, t_n) of every snapshot, n = 0..N.
-
-    x must lie in [0, 1]; each value interpolates between the two
-    nodes bracketing x (boundary nodes count as zero).
-    """
-    nodal, sine = _sample_weights(history, x)
-    series = history.coefficients @ sine
-    series[0] = nodal @ history.initial
+    series = history.coefficients @ history._nodal(nodal[1:-1])
+    series[0] = nodal[1:-1] @ history.initial
     return series
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
-    """Piecewise-linear value of snapshot n at position x in [0, 1]."""
+    """Piecewise-linear value of snapshot n at position x in [0, 1]:
+    entry n of sample_series(history, x)."""
     if not 0 <= n <= history.n_steps:
         raise ValidationError(
             f"snapshot index {n} outside 0..{history.n_steps}")
-    nodal, sine = _sample_weights(history, x)
-    return float(sine @ history.coefficients[n] if n else
-                 nodal @ history.initial)
+    return float(sample_series(history, x)[n])

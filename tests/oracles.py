@@ -8,7 +8,8 @@ high-resolution quadrature of interpolants, a dense time-stepping
 loop that shares nothing with the library's marcher beyond the P1
 matrices and load vector, the direct sine-mode marcher that sums the
 whole history at every step, where the library solves blocks of steps
-at once, and a scalar recurrence of single modes in python floats.
+at once, a scalar recurrence of single modes in python floats, and the
+whole nodal scheme in 40-digit arithmetic.
 """
 
 import math
@@ -292,6 +293,45 @@ def scalar_march(lam_mass, lam_stiff, start, tau, n_steps, implicit,
             u.append(rhs / (mass + implicit * stiff))
         rows.append(u)
     return np.array(rows).T
+
+
+def mp_march(m_cells, tau, n_steps, start, implicit, memory=None,
+             first=1) -> np.ndarray:
+    """Nodal snapshots U_0..U_N (rows) of the backward-Euler P1 scheme
+
+        (M/tau + implicit A) U_n = (M/tau) U_{n-1}
+                                   - A sum_{k=first..n-1} memory[n-k] U_k
+
+    in 40-digit mpmath, with dense P1 mass M and stiffness A on
+    h = 1/m_cells, the system matrix inverted once and A U_k kept for
+    the memory sum: no sine transform, FFT, power-of-two scaling or
+    blocking.  start is the float U_0 and tau is taken exactly;
+    implicit and memory[j] should carry 40 digits (mpf).  Only the
+    result is rounded to float64.
+    """
+    with mpmath.workdps(40):
+        size, h, tau = m_cells - 1, mpmath.mpf(1) / m_cells, mpmath.mpf(tau)
+        mass, stiff = mpmath.zeros(size), mpmath.zeros(size)
+        for i in range(size):
+            mass[i, i], stiff[i, i] = 4 * h / 6, 2 / h
+            if i:
+                mass[i, i - 1] = mass[i - 1, i] = h / 6
+                stiff[i, i - 1] = stiff[i - 1, i] = -1 / h
+        inverse = mpmath.inverse(mass / tau + implicit * stiff).tolist()
+        mass, stiff = (mass / tau).tolist(), stiff.tolist()
+        back = [] if memory is None else [
+            mpmath.mpf(memory[j]) for j in range(n_steps - first, 0, -1)]
+        hist = [[mpmath.mpf(float(v)) for v in start]]
+        pushed = [[] for _ in range(size)]  # (A U_k)[i], k = first..n-1
+        for n in range(1, n_steps + 1):
+            rhs = [mpmath.fdot(row, hist[n - 1]) for row in mass]
+            if memory is not None and n > first:
+                for col, row in zip(pushed, stiff):
+                    col.append(mpmath.fdot(row, hist[n - 1]))
+                rhs = [r - mpmath.fdot(back[n_steps - n:], col)
+                       for r, col in zip(rhs, pushed)]
+            hist.append([mpmath.fdot(row, rhs) for row in inverse])
+        return np.array([[float(v) for v in row] for row in hist])
 
 
 def interpolant_l2_norm_sq(mesh, values) -> float:

@@ -68,8 +68,7 @@ def test_each_kind_accepts_exactly_its_flags():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_help_lists_every_option(kind, capsys):
-    # main builds the flags of the named kind alone; its help must still
-    # show every option that kind reads
+    # the help of each kind shows every option that kind reads
     with pytest.raises(SystemExit) as exc:
         main([kind, "--help"])
     assert exc.value.code == 0
@@ -78,20 +77,36 @@ def test_kind_help_lists_every_option(kind, capsys):
         assert flag in shown, (kind, flag)
 
 
-def test_top_level_help_and_unknown_kind_do_not_depend_on_the_kind_read(
-        capsys):
-    full, bare = _build_parser(), _build_parser(set())
-    assert full.format_help() == bare.format_help()
-    errors = []
-    for parser in (full, bare):
+def test_unknown_kind_exits_2(capsys):
+    for argv in (["mystery"], ["mystery", "--N", "4"]):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["mystery"])
+            main(argv)
         assert exc.value.code == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and "invalid choice: 'mystery'" in errors[0]
-    with pytest.raises(SystemExit) as exc:
-        main(["mystery", "--N", "4"])
-    assert exc.value.code == 2
+        assert "invalid choice: 'mystery'" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # every main call parses with the one parser built on first use:
+    # the top-level parser and one subparser per kind
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _build_parser.cache_clear()
+    out = ["--out", str(tmp_path / "out.csv")]
+    for argv in (["weights-dump", "--N", "4"] + out,
+                 ["solve", "--N", "4", "--M", "4"] + out,
+                 ["convergence-space", "--N", "4", "--M", "4",
+                  "--levels", "2"] + out):
+        assert main(argv) == 0, argv
+    for argv in (["figure1", "--help"], ["mystery"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert len(built) == 1 + len(KINDS)
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.parametrize("kind,key,value", DROPPED_PAIRS)

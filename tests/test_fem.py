@@ -167,6 +167,26 @@ def test_ritz_projection_rejects_nonzero_boundary():
         ritz_projection(Mesh1D(8), lambda x: np.asarray(x, float) ** 2)
 
 
+def test_ritz_projection_judges_the_ends_relative_to_the_data():
+    # the model is linear, so the size of the data cannot decide whether
+    # it is admissible: sin(pi) rounds to 1.2e-16, 1e4 times that passes
+    mesh = Mesh1D(8)
+    for scale in (1.0, 1e4, 1e300):
+        def u0(x):
+            return scale * np.sin(math.pi * np.asarray(x, float))
+        assert np.array_equal(ritz_projection(mesh, u0),
+                              u0(mesh.interior_nodes()))
+    # ends above 1e-12 max(1, max |u0| inside) are refused: 2e-12 beside
+    # data of size 1e-3 or 1, 2e-8 beside data of size 1e4
+    for scale, end in ((1e-3, 2e-12), (1.0, 2e-12), (1e4, 2e-8)):
+        with pytest.raises(ValidationError, match="vanish"):
+            ritz_projection(mesh, lambda x: scale * np.sin(
+                math.pi * np.asarray(x, float)) + end)
+    # NaN data passes to the marcher, which reports it
+    assert np.isnan(ritz_projection(
+        mesh, lambda x: np.where((x > 0) & (x < 1), np.nan, 0.0))).all()
+
+
 def test_tridiag_identity_solve():
     n = 9
     eye = TriDiagonalMatrix(sub=np.zeros(n - 1), diag=np.ones(n),

@@ -219,6 +219,21 @@ def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):
     assert "Traceback" not in err
 
 
+def test_cli_table_ends_are_judged_relative_to_the_data(tmp_path, capsys):
+    # 1e6 sin(pi x) with exact zeros at the ends: its spline reads
+    # 1.8e-12 at x = 1, far below 1e-12 times the data
+    path = tmp_path / "u0.csv"
+    args = ["solve", "--u0", "custom-table", "--u0-table", str(path),
+            "--N", "8", "--M", "4", "--out", str(tmp_path / "out.csv")]
+    for end, code in ((0.0, 0), (1e-7, 0), (1e-5, 2)):
+        values = [1e6 * math.sin(math.pi * i / 10) for i in range(11)]
+        values[0], values[-1] = 0.0, end
+        path.write_text("".join(f"{i / 10!r},{v!r}\n"
+                                for i, v in enumerate(values)))
+        assert main(args) == code, end
+    assert "must vanish at the ends" in capsys.readouterr().err
+
+
 def test_cli_module_entry_point(tmp_path):
     out = tmp_path / "t.csv"
     proc = subprocess.run(
