@@ -139,14 +139,17 @@ def dst1(values: np.ndarray) -> np.ndarray:
 
     out[k-1] = sum_{j=1..M-1} values[j-1] sin(j k pi / M) for a last
     axis of length M-1, from the FFT of the odd extension of length
-    2M.  Applying it twice multiplies by M/2.
+    2M, each row scaled by a power of two around it: exact, and only
+    coefficients past the overflow threshold overflow.  Applying it
+    twice multiplies by M/2.
     """
     values = np.asarray(values, float)
+    shift = np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1]
     m = values.shape[-1] + 1
     odd = np.zeros(values.shape[:-1] + (2 * m,))
-    odd[..., 1:m] = values
-    odd[..., m + 1:] = -values[..., ::-1]
-    return -0.5 * np.fft.rfft(odd, axis=-1)[..., 1:m].imag
+    odd[..., 1:m] = np.ldexp(values, -shift)
+    odd[..., m + 1:] = -odd[..., m - 1:0:-1]
+    return np.ldexp(-0.5 * np.fft.rfft(odd, axis=-1)[..., 1:m].imag, shift)
 
 
 def load_vector(mesh: Mesh1D, f) -> np.ndarray:

@@ -14,7 +14,6 @@ errors with 5 significant digits and rates with 4 decimals, the layout
 used in the reference tables.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -262,14 +261,10 @@ def emit_table(table: RateTable, fmt: str) -> str:
     if not table.rows:
         raise ValidationError("refusing to emit an empty table")
     if fmt == "csv":
-        out = io.StringIO()
-        for key, field in _HEADER:
-            out.write(f"# {key}={getattr(table, field)}\n")
-        out.write("level,param,error,rate\n")
-        for r in table.rows:
-            rate = "*" if r.rate is None else repr(r.rate)
-            out.write(f"{r.level},{r.param},{r.error!r},{rate}\n")
-        return out.getvalue()
+        head = [f"# {key}={getattr(table, field)}" for key, field in _HEADER]
+        return _csv("\n".join(head + ["level,param,error,rate"]), *zip(*(
+            (r.level, r.param, r.error,
+             "*" if r.rate is None else repr(r.rate)) for r in table.rows)))
     if fmt == "markdown":
         rate_name = "rate^t" if table.param_name == "N" else "rate^x"
         lines = [
@@ -306,34 +301,29 @@ def parse_rate_table(text: str) -> RateTable:
         raise ValidationError(f"malformed table header: missing {err}") from err
 
 
+def _csv(header: str, *columns) -> str:
+    """Header line(s), then a line per row of the columns; via .tolist(),
+    str of each float is its repr, so every number reads back exactly."""
+    cells = zip(*[map(str, np.asarray(col).tolist()) for col in columns])
+    return "\n".join([header, *map(",".join, cells), ""])
+
+
 def emit_comparison_csv(series: ComparisonSeries) -> str:
-    out = io.StringIO()
-    out.write("t,heat,multiscale,subdiffusion\n")
-    for t, a, b, c in zip(series.times, series.heat, series.multiscale,
-                          series.subdiffusion):
-        out.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
-    return out.getvalue()
+    return _csv("t,heat,multiscale,subdiffusion", series.times, series.heat,
+                series.multiscale, series.subdiffusion)
 
 
 def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
-    out = io.StringIO()
-    out.write("x,value\n")
-    for xi, ui in zip(x, u):
-        out.write(f"{float(xi)!r},{float(ui)!r}\n")
-    return out.getvalue()
+    return _csv("x,value", x, u)
 
 
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
     """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows."""
     exp = cfg.build_exponent()
     validate_assumption_a(exp, cfg.T)
-    lag = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp).tolist()
-    out = io.StringIO()
-    out.write("n,k,b\n")
-    for n in range(1, cfg.n_steps + 1):
-        for k in range(1, n + 1):
-            out.write(f"{n},{k},{lag[n - k]!r}\n")
-    return out.getvalue()
+    lag = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp)
+    n, k = np.tril_indices(cfg.n_steps)
+    return _csv("n,k,b", n + 1, k + 1, lag[n - k])
 
 
 # ---------------------------------------------------------------------------

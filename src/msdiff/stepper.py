@@ -46,10 +46,11 @@ marcher takes a `ModeSet`, the modes of one or more meshes on one time
 grid; `solve_ladder` marches the meshes of a ladder that share N as
 one set.  Each mode of a block is scaled by a power of two, exactly, so
 data near the overflow threshold stays finite wherever the step-by-step
-sum does, and no mesh costs another digits.  A mesh with a non-finite
-value drops out alone; SolverError, naming the block's steps, comes
-once none is left.  A run stays in the sine basis; `SolutionHistory`
-and the samplers transform back only what is read.
+sum does, and no mesh costs another digits.  A mesh is judged once, by
+row N, which any non-finite value reaches (decay > 0 carries it on and
+block FFTs spread it): it drops out alone, and SolverError, naming a
+block of steps, comes once none is left.  A run stays in the sine basis;
+`SolutionHistory` and the samplers transform back only what is read.
 """
 
 from dataclasses import dataclass
@@ -134,8 +135,7 @@ class SolutionHistory:
 
 class ModeSet(NamedTuple):
     """Sine modes marched together on one time grid (see _march): mode
-    k has eigenvalues lam_mass[k], lam_stiff[k] and start value
-    dst1(U_0)[k]; columns edges[i]..edges[i+1]-1 are level i (one mesh).
+    k has eigenvalues lam_mass[k], lam_stiff[k], start value dst1(U_0)[k];
     forcing(lo, hi), if given, returns rows dst1(F_n), n = lo..hi-1."""
 
     tau: float
@@ -143,7 +143,6 @@ class ModeSet(NamedTuple):
     lam_mass: np.ndarray
     lam_stiff: np.ndarray
     start: np.ndarray
-    edges: tuple
     forcing: Optional[Callable[[int, int], np.ndarray]] = None
 
 
@@ -153,9 +152,9 @@ def solve(config: SolverConfig) -> SolutionHistory:
     Validates the exponent, assembles the lag vector of memory weights
     and marches with implicit coefficient 1 + lag[0] (see _march).
     Raises SolverError on a non-finite snapshot, naming its block of
-    steps, or on a non-positive 1 + lag[0], the only step check; the
-    README says why the sufficient 1 + lag[0] >= sum_{j>=1} |lag[j]|
-    is not enforced.
+    steps (or dst1(U_0)), or on a non-positive 1 + lag[0], the only
+    step check; the README says why the sufficient
+    1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced.
     """
     validate_assumption_a(config.exponent, config.T)
     lag = assemble_weights(config.n_steps, config.tau, config.exponent)
@@ -165,11 +164,17 @@ def solve(config: SolverConfig) -> SolutionHistory:
 def solve_ladder(configs: list) -> list:
     """Final nodal values of each config of a ladder; None where it failed.
 
-    The configs share T, exponent and source.  The exponent is validated
-    once; the configs of one N march as one mode set and match
-    solve(config).final() to rounding, or give None, each alone, where
-    solve raises SolverError.
+    The configs share T, exponent and source (else ValidationError).
+    The exponent is validated once; the configs of one N march as one
+    mode set and match solve(config).final() to rounding, or give None,
+    each alone, where solve raises SolverError.
     """
+    for i, c in enumerate(configs):
+        differ = [key for key in ("T", "exponent", "source")
+                  if getattr(c, key) != getattr(configs[0], key)]
+        if differ:
+            raise ValidationError(f"ladder config {i} differs from config 0 "
+                                  f"in {', '.join(differ)}")
     validate_assumption_a(configs[0].exponent, configs[0].T)
     finals = [None] * len(configs)
     for n_steps in sorted({c.n_steps for c in configs}):
@@ -197,8 +202,9 @@ def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1):
     """SolutionHistory of each config, None where its run failed: the
     configs share tau, N and source and march as one ModeSet (see
-    _march for the other arguments, and the SolverError)."""
-    tau, source = configs[0].tau, configs[0].source
+    _march for the other arguments), each judged by row N (module doc);
+    SolverError names where the last failed: a block, or dst1(U_0)."""
+    tau, source, N = configs[0].tau, configs[0].source, configs[0].n_steps
     initial = [ritz_projection(c.mesh, c.initial) for c in configs]
     lam_mass, lam_stiff = map(np.concatenate, zip(
         *(sine_eigenvalues(c.mesh) for c in configs)))
@@ -206,10 +212,20 @@ def _march_meshes(configs: list, implicit: float,
     forcing = None if source is None else lambda lo, hi: np.hstack([dst1([
         load_vector(c.mesh, lambda x, t=n * tau: source(x, t))
         for n in range(lo, hi)]) for c in configs])
-    history, alive = _march(ModeSet(
-        tau, configs[0].n_steps, lam_mass, lam_stiff,
-        np.concatenate([dst1(u0) for u0 in initial]), tuple(edges),
-        forcing), implicit, memory, first)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = np.concatenate([dst1(u0) for u0 in initial])
+    history = _march(ModeSet(tau, N, lam_mass, lam_stiff, start, forcing),
+                     implicit, memory, first)
+    alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
+    if not alive.any():  # the first row where every config is non-finite
+        n = np.logical_or.reduceat(~np.isfinite(history), edges[:-1],
+                                   axis=1).all(axis=1).argmax()
+        if n == 0 and np.isfinite(np.concatenate(initial)).all():
+            raise SolverError("sine coefficients of the initial data "
+                              f"overflow at M = {configs[0].mesh.m_cells}")
+        lo = 1 + max(n - 1, 0) // _BLOCK_ROWS * _BLOCK_ROWS
+        raise SolverError("non-finite solution values in steps "
+                          f"{lo}..{min(lo + _BLOCK_ROWS - 1, N)}")
     return [SolutionHistory(c, history[:, lo:hi], u) if ok else None
             for c, u, lo, hi, ok in zip(configs, initial, edges, edges[1:],
                                         alive)]
@@ -217,16 +233,14 @@ def _march_meshes(configs: list, implicit: float,
 
 def _march(modes: ModeSet, implicit: float,
            memory: Optional[np.ndarray] = None,
-           first: int = 1) -> tuple:
+           first: int = 1) -> np.ndarray:
     """Step n = 1..N from modes.start, B steps per block.
 
     memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
     entry 0 is never read (its share sits in `implicit`, which must be
     positive, else SolverError).  A block of steps lo..hi-1 costs one
     GEMM with the earlier history and one FFT product (module doc).
-    Returns the (N+1) x modes history and a flag per level of
-    modes.edges, False once the level had a non-finite value.  Raises
-    SolverError naming the step range where the last level failed.
+    Returns the (N+1) x modes history, for the caller to judge.
     """
     tau, N = modes.tau, modes.n_steps
     if not implicit > 0.0:
@@ -239,7 +253,6 @@ def _march(modes: ModeSet, implicit: float,
     size = min(_BLOCK_ROWS, N)
     history = np.empty((N + 1, modes.start.size))
     history[0] = modes.start
-    alive = np.ones(len(modes.edges) - 1, bool)
 
     lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
     if memory is not None:
@@ -272,13 +285,7 @@ def _march(modes: ModeSet, implicit: float,
             spectrum *= inverse_hat
             block[:] = np.fft.irfft(spectrum, n=2 * size, axis=0)[:hi - lo]
             np.ldexp(block, shift, out=block)
-            if not np.all(np.isfinite(block)):
-                alive &= np.logical_and.reduceat(
-                    np.isfinite(block).all(axis=0), modes.edges[:-1])
-                if not alive.any():
-                    raise SolverError("non-finite solution values in steps "
-                                      f"{lo}..{hi - 1}")
-    return history, alive
+    return history
 
 
 def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,

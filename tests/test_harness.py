@@ -2,14 +2,18 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from msdiff.cli import main
 from msdiff.errors import ValidationError
 from msdiff.harness import (ExperimentConfig, RateRow, RateTable,
-                            build_experiment, emit_table, format_sig5,
-                            load_config_file, parse_rate_table,
+                            build_experiment, emit_comparison_csv,
+                            emit_solution_csv, emit_table, emit_weights_csv,
+                            format_sig5, load_config_file, parse_rate_table,
                             run_convergence_space, run_convergence_time)
+from msdiff.reference import ComparisonSeries
+from msdiff.weights import assemble_weights
 
 
 def small_time_cfg(**kw):
@@ -96,6 +100,66 @@ def test_csv_round_trip_is_exact():
     assert parse_rate_table(text) == table
     assert "\r" not in text
     assert text.splitlines()[-1].split(",")[3] == "0.8385"
+
+
+# values whose shortest repr is long, signed zero, the smallest subnormal
+# and normal numbers, the largest double, and a spread of magnitudes
+_AWKWARD = np.concatenate((
+    [0.1, 1.0 / 3.0, -0.0, 5e-324, 2.2250738585072014e-308,
+     1.7976931348623157e308, -2.5e-17, 1e16, 123456789.12345679, math.pi],
+    np.random.default_rng(7).standard_normal(30)
+    * 10.0 ** np.arange(-290, 310, 20)))
+
+
+def _same_floats(got, want):
+    """Bit for bit, so that -0.0 and NaN count too."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def _columns(text, header):
+    lines = text.splitlines()
+    assert lines[0] == header
+    return [list(col) for col in zip(*(line.split(",") for line in lines[1:]))]
+
+
+def test_every_csv_number_reads_back_to_the_same_float():
+    # the four CSV emitters, each with its header unchanged
+    values = _AWKWARD
+    times, heat, multi, sub = (np.roll(values, i) for i in range(4))
+    text = emit_comparison_csv(ComparisonSeries(times, heat, multi, sub))
+    got = _columns(text, "t,heat,multiscale,subdiffusion")
+    assert all(_same_floats([float(c) for c in col], want)
+               for col, want in zip(got, (times, heat, multi, sub)))
+
+    x, u = values, -values[::-1]
+    got = _columns(emit_solution_csv(x, u), "x,value")
+    assert all(_same_floats([float(c) for c in col], want)
+               for col, want in zip(got, (x, u)))
+
+    rows = tuple(RateRow(level, 2 ** level, err, None if level == 0 else rate)
+                 for level, (err, rate) in enumerate(zip(
+                     [math.nan, *values[1:].tolist()], values[::-1].tolist())))
+    table = RateTable("convergence-space", "M", "G2", "exp-example2",
+                      "poly-x2-1mx2", "N=64", rows)
+    text = emit_table(table, "csv")
+    assert text.splitlines()[:7] == [
+        "# kind=convergence-space", "# param=M", "# error=G2",
+        "# exponent=exp-example2", "# u0=poly-x2-1mx2", "# fixed=N=64",
+        "level,param,error,rate"]
+    back = parse_rate_table(text)
+    assert _same_floats(back.errors(), table.errors())
+    assert _same_floats(back.rates(), table.rates())
+    assert [r.rate is None for r in back.rows] == [r.rate is None
+                                                   for r in rows]
+
+    cfg = ExperimentConfig(kind="weights-dump", n_steps=40, T=1.0)
+    lag = assemble_weights(40, 1.0 / 40, cfg.build_exponent())
+    n, k, b = _columns(emit_weights_csv(cfg), "n,k,b")
+    n, k = np.array(n, int), np.array(k, int)
+    assert n.size == 40 * 41 // 2 and np.all((1 <= k) & (k <= n))
+    assert _same_floats([float(c) for c in b], lag[n - k])
 
 
 def test_csv_marks_first_rate_with_star():

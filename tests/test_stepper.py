@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import unittest.mock
 import warnings
 
 import mpmath
@@ -222,11 +223,11 @@ def test_mode_set_marcher_matches_scalar_recurrence(N, first, modes, name,
         implicit = tau ** -alpha
         memory = implicit * cq_weights(alpha, N)
     lam_mass, lam_stiff, start = map(np.array, zip(*modes))
-    got, alive = _march(ModeSet(tau, N, lam_mass, lam_stiff, start,
-                                (0, start.size)), implicit, memory, first)
+    got = _march(ModeSet(tau, N, lam_mass, lam_stiff, start), implicit,
+                 memory, first)
     want = scalar_march(lam_mass, lam_stiff, start, tau, N, implicit,
                         memory, first)
-    assert alive.tolist() == [True]
+    assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -328,6 +329,171 @@ def test_amplifying_memory_raises_solver_error_naming_steps(exp_ex1):
             _march_meshes([cfg], 1.0, memory)
     lo, hi = re.search(r"in steps (\d+)\.\.(\d+)$", str(err.value)).groups()
     assert int(lo) <= first_bad <= int(hi)
+
+
+def _block_of(n, N):
+    """The steps lo..hi of the marcher's block that holds step n >= 1."""
+    lo = 1 + (n - 1) // B * B
+    return lo, min(lo + B - 1, N)
+
+
+def _steps_named(err):
+    return tuple(map(int, re.search(r"in steps (\d+)\.\.(\d+)$",
+                                    str(err)).groups()))
+
+
+def test_mid_run_failure_drops_only_its_level(exp_ex1):
+    # an amplifying lag multiplies every step by about 1e4..1e6: data
+    # near 1e300 overflows within a block or two, data near 1e-300 stays
+    # finite to N = 40; the first level comes back None, the second as
+    # its own run
+    N = 40
+    bad, good = (SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(m),
+                              exponent=exp_ex1,
+                              initial=lambda x, s=scale: s * u0_quartic(x))
+                 for m, scale in ((8, 1e300), (16, 1e-300)))
+    memory = np.zeros(N + 1)
+    memory[1] = -1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _march_meshes([bad, good], 1.0, memory)
+        want = _march_meshes([good], 1.0, memory)[0].snapshots
+        with pytest.raises(SolverError, match="non-finite") as err:
+            _march_meshes([bad], 1.0, memory)
+    assert got[0] is None
+    assert np.all(np.isfinite(want)) and np.abs(want[-1]).max() > 1e-200
+    assert np.abs(got[1].snapshots - want).max() <= 1e-14 * np.abs(want).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = direct_march(bad, 1.0, memory)
+    first_bad = np.flatnonzero(~np.isfinite(direct).all(axis=1))[0]
+    assert _steps_named(err.value) == _block_of(first_bad, N)
+
+
+def test_failure_names_the_block_of_the_first_bad_row(exp_ex1):
+    # the same amplifying lag over a sweep of data scales, so that the
+    # step-by-step march first overflows on every side of the block
+    # edges B and 2B, the last row of a block included
+    N = 80
+    memory = np.zeros(N + 1)
+    memory[1] = -1e6
+    rows = set()
+    for k in range(300, -150, -10):
+        cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(8), exponent=exp_ex1,
+                           initial=lambda x, s=10.0 ** k: s * u0_quartic(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = direct_march(cfg, 1.0, memory)
+        first_bad = np.flatnonzero(~np.isfinite(direct).all(axis=1))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="non-finite") as err:
+                _march_meshes([cfg], 1.0, memory)
+        assert _steps_named(err.value) == _block_of(first_bad, N), k
+        rows.add(int(first_bad))
+    assert {B - 2, B, B + 2, 2 * B, 2 * B + 2} <= rows, sorted(rows)
+
+
+_MESHES = (4, 8, 16)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]),
+       data=st.data())
+def test_judging_row_n_agrees_with_a_full_scan(N, data):
+    # a source that turns one step non-finite on a drawn set of levels,
+    # each at its own drawn step: the levels judged by row N alone are
+    # those with a non-finite value anywhere in the marched history,
+    # and with none left the error names the block of the first row at
+    # which every level is non-finite
+    bad = data.draw(st.dictionaries(
+        st.sampled_from(_MESHES), st.tuples(st.integers(1, N),
+                                            st.sampled_from([np.nan, np.inf,
+                                                             -np.inf])),
+        min_size=1))
+    tau = 1.0 / N
+
+    def source(x, t):
+        m_cells, n = np.size(x), round(t / tau)
+        value = bad[m_cells][1] if bad.get(m_cells, (0,))[0] == n else 0.0
+        return np.full(np.shape(x), value)
+
+    exp = example_exponent_1(1.0)
+    configs = [SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(m), exponent=exp,
+                            initial=u0_sine, source=source) for m in _MESHES]
+    lag = assemble_weights(N, tau, exp)
+    march, seen = stepper._march, []
+
+    def spy(*args):  # keeps the history that _march_meshes judged
+        seen.append(march(*args))
+        return seen[-1]
+
+    edges = np.cumsum([0] + [m - 1 for m in _MESHES])
+    with unittest.mock.patch.object(stepper, "_march", spy):
+        try:
+            runs = _march_meshes(configs, 1.0 + lag[0], lag)
+        except SolverError as err:
+            runs, named = None, err
+    finite = np.isfinite(seen[0])
+    failed = [not finite[:, lo:hi].all() for lo, hi in zip(edges, edges[1:])]
+    assert failed == [m in bad for m in _MESHES]
+    if runs is not None:
+        assert [run is None for run in runs] == failed
+        return
+    assert all(failed)
+    dead = np.logical_and.reduce([~finite[:, lo:hi].all(axis=1)
+                                  for lo, hi in zip(edges, edges[1:])])
+    first = int(np.flatnonzero(dead)[0])
+    assert _block_of(first, N) == _block_of(max(n for n, _ in bad.values()), N)
+    assert _steps_named(named) == _block_of(first, N)
+
+
+def _sine_times(scale):
+    def initial(x):
+        x = np.asarray(x, float)
+        inside = (x > 1e-9) & (x < 1.0 - 1e-9)
+        return np.where(inside, scale * np.sin(math.pi * x), 0.0)
+    return initial
+
+
+def test_sine_coefficients_near_the_overflow_threshold(exp_ex1):
+    # 1e307 sin(pi x): its largest sine coefficient is 1e307 M/2, which
+    # fits in a double at M = 32 (1.6e308) and not at M = 64; the first
+    # must run like 1e307 times the unit run, the second must be called
+    # an initial-data failure, both alone and beside another mesh
+    def config(m, scale=1e307):
+        return SolverConfig(T=1.0, n_steps=40, mesh=Mesh1D(m),
+                            exponent=exp_ex1, initial=_sine_times(scale))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = solve(config(32, 1.0)).final()
+        got = solve(config(32)).final()
+        with pytest.raises(SolverError, match="sine coefficients of the "
+                           "initial data overflow at M = 64"):
+            solve(config(64))
+        ladder = solve_ladder([config(32), config(64)])
+    assert np.abs(got - 1e307 * unit).max() <= 1e-15 * np.abs(got).max()
+    assert ladder[1] is None
+    assert np.abs(ladder[0] - got).max() <= 1e-15 * np.abs(got).max()
+
+
+def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
+    # a ladder marches each N with the first config's T, exponent and
+    # source; a config that differs in any of them is refused by name
+    def config(m, **kw):
+        return SolverConfig(**{"T": 1.0, "n_steps": 16, "mesh": Mesh1D(m),
+                               "exponent": exp_ex1, "initial": u0_sine,
+                               **kw})
+
+    same = [config(4), config(8)]
+    assert len(solve_ladder(same)) == 2
+    exp_ex1_t2 = example_exponent_1(2.0)
+    for odd, name in ((config(8, T=2.0, exponent=exp_ex1_t2), "T, exponent"),
+                      (config(8, exponent=exp_ex2), "exponent"),
+                      (config(4, source=_source), "source")):
+        with pytest.raises(ValidationError,
+                           match=f"ladder config 2 differs from config 0 "
+                                 f"in {name}$"):
+            solve_ladder(same + [odd])
 
 
 @pytest.mark.parametrize("N,M", [(1, 2), (6, 2), (5, 3), (16, 8),
