@@ -263,8 +263,8 @@ def emit_table(table: RateTable, fmt: str) -> str:
     if fmt == "csv":
         head = [f"# {key}={getattr(table, field)}" for key, field in _HEADER]
         return _csv("\n".join(head + ["level,param,error,rate"]), *zip(*(
-            (r.level, r.param, r.error,
-             "*" if r.rate is None else repr(r.rate)) for r in table.rows)))
+            (r.level, r.param, r.error, "*" if r.rate is None
+             else repr(float(r.rate))) for r in table.rows)))
     if fmt == "markdown":
         rate_name = "rate^t" if table.param_name == "N" else "rate^x"
         lines = [

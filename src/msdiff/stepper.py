@@ -35,22 +35,21 @@ steps and, per block lo..hi-1:
 
 1. adds the history before the block, U_first..U_{lo-1}, as one matrix
    product of a B-row Toeplitz strip of w with the stored coefficients;
-2. solves the block's own triangle by multiplying with the inverse
-   Toeplitz matrix, one real FFT along time for all modes; the first
-   column of that inverse comes from a B-step recurrence, once a run.
+2. solves the block's own triangle by one causal product with a
+   lower-triangular Toeplitz view of each mode's inverse, whose first
+   column a B-step recurrence gives once a run.  Row i depends only on
+   rows up to i, so each row is as accurate as the step-by-step march.
 
 A run takes N/B + B interpreter steps instead of N, and the memory sum
 is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
 because the memory term needs it anyway).  Modes never mix, so the
 marcher takes a `ModeSet`, the modes of one or more meshes on one time
 grid; `solve_ladder` marches the meshes of a ladder that share N as
-one set.  Each mode of a block is scaled by a power of two, exactly, so
-data near the overflow threshold stays finite wherever the step-by-step
-sum does, and no mesh costs another digits.  A mesh is judged once, by
-row N, which any non-finite value reaches (decay > 0 carries it on and
-block FFTs spread it): it drops out alone, and SolverError, naming a
-block of steps, comes once none is left.  A run stays in the sine basis;
-`SolutionHistory` and the samplers transform back only what is read.
+one set.  A mesh is judged once, by row N, which any non-finite value
+reaches (decay > 0 carries it on and the block product carries it): it
+drops out alone, and SolverError, naming a block of steps, comes once
+none is left.  A run stays in the sine basis; `SolutionHistory` and the
+samplers transform back only what is read.
 """
 
 from dataclasses import dataclass
@@ -192,9 +191,10 @@ def solve_ladder(configs: list) -> list:
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
-# of `SolutionHistory.snapshots`.  In a benchmark sweep over 16..128,
-# 64 and 128 ran 3-11% faster than 32 but added 5-10% to peak memory
-# over the step-by-step marcher, against 3-5% for 32; 16 ran 20% slower.
+# of `SolutionHistory.snapshots`.  In a benchmark sweep over 16..128 of
+# the FFT block solve, 64 and 128 ran 3-11% faster than 32 but added
+# 5-10% to peak memory over the step-by-step marcher, against 3-5% for
+# 32; 16 ran 20% slower.
 _BLOCK_ROWS = 32
 
 
@@ -239,7 +239,7 @@ def _march(modes: ModeSet, implicit: float,
     memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
     entry 0 is never read (its share sits in `implicit`, which must be
     positive, else SolverError).  A block of steps lo..hi-1 costs one
-    GEMM with the earlier history and one FFT product (module doc).
+    GEMM with the earlier history and one causal product (module doc).
     Returns the (N+1) x modes history, for the caller to judge.
     """
     tau, N = modes.tau, modes.n_steps
@@ -264,7 +264,7 @@ def _march(modes: ModeSet, implicit: float,
         strip = np.ascontiguousarray(windows[size - 1::-1])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse_hat = _inverse_spectrum(decay, gain, lags[:size])
+        inverse = _inverse_toeplitz(decay, gain, lags[:size])
         for lo in range(1, N + 1, size):
             hi = min(lo + size, N + 1)
             block = history[lo:hi]
@@ -277,36 +277,34 @@ def _march(modes: ModeSet, implicit: float,
             block[0] += decay * history[lo - 1]
             if modes.forcing is not None:
                 block += inv_denom * modes.forcing(lo, hi)
-            # scaling each mode by a power of two is exact and keeps the
-            # transform of data near the overflow threshold finite
-            shift = np.frexp(np.abs(block).max(axis=0))[1]
-            np.ldexp(block, -shift, out=block)
-            spectrum = np.fft.rfft(block, n=2 * size, axis=0)
-            spectrum *= inverse_hat
-            block[:] = np.fft.irfft(spectrum, n=2 * size, axis=0)[:hi - lo]
-            np.ldexp(block, shift, out=block)
+            rows = hi - lo
+            block[:] = np.einsum("ikj,jk->ik", inverse[:rows, :, :rows], block)
     return history
 
 
-def _inverse_spectrum(decay: np.ndarray, gain: np.ndarray,
+def _inverse_toeplitz(decay: np.ndarray, gain: np.ndarray,
                       lags: np.ndarray) -> np.ndarray:
-    """Length-2B rfft of the first column of each mode's inverse block.
+    """B x modes x B view of each mode's inverse block: entry (i, k, j)
+    is v_k[i - j], zero for j > i.
 
     Mode k's B x B step matrix is lower-triangular Toeplitz with first
     column t = (1, gain_k lags[1] - decay_k, gain_k lags[2], ..); so is
     its inverse, whose first column v obeys v[0] = 1 and
-    v[n] = -sum_{j=1..n} t[j] v[n-j], run for all modes at once.
+    v[n] = -sum_{j=1..n} t[j] v[n-j], run for all modes at once.  v
+    sits below B - 1 zero rows, so the view allocates nothing more.
     B = lags.size; lags[0] is not read.
     """
     size = lags.size
     coef = np.outer(lags, gain)
     coef[1:2] -= decay
-    inverse = np.zeros_like(coef)
+    padded = np.zeros((2 * size - 1, gain.size))
+    inverse = padded[size - 1:]
     inverse[0] = 1.0
     for n in range(1, size):
         inverse[n] = -np.einsum("jk,jk->k", coef[1:n + 1],
                                 inverse[n - 1::-1])
-    return np.fft.rfft(inverse, n=2 * size, axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=0)
+    return windows[..., ::-1]
 
 
 def sample_series(history: SolutionHistory, x: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -100,6 +101,17 @@ def test_csv_round_trip_is_exact():
     assert parse_rate_table(text) == table
     assert "\r" not in text
     assert text.splitlines()[-1].split(",")[3] == "0.8385"
+
+
+
+def test_csv_round_trip_of_numpy_floats_is_exact():
+    # errors and rates computed by numpy print as plain floats
+    table = _toy_table()
+    rows = tuple(RateRow(r.level, r.param, np.float64(r.error),
+                         None if r.rate is None else np.float64(r.rate) / 3.0)
+                 for r in table.rows)
+    table = dataclasses.replace(table, rows=rows)
+    assert parse_rate_table(emit_table(table, "csv")) == table
 
 
 # values whose shortest repr is long, signed zero, the smallest subnormal

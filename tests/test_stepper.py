@@ -17,7 +17,8 @@ from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
 from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
-                        discrete_l2_norm)
+                        discrete_l2_norm, dst1, ritz_projection,
+                        sine_eigenvalues)
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve)
 from msdiff.stepper import (_BLOCK_ROWS, ModeSet, SolverConfig, _march,
@@ -231,6 +232,29 @@ def test_mode_set_marcher_matches_scalar_recurrence(N, first, modes, name,
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+
+def _sine_1_and_63(x):
+    x = np.asarray(x, float)
+    return np.sin(math.pi * x) + np.sin(63.0 * math.pi * x)
+
+
+def test_every_sine_coefficient_matches_the_scalar_recurrence(exp_ex1):
+    # the modes of a run differ in size by up to 1e16: a block solve is
+    # accurate entry by entry, not only relative to the block's largest
+    # value, for heat and for the multiscale lag
+    cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(64), exponent=exp_ex1,
+                       initial=_sine_1_and_63)
+    lam_mass, lam_stiff = sine_eigenvalues(cfg.mesh)
+    start = dst1(ritz_projection(cfg.mesh, cfg.initial))
+    lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
+    for run, args in ((heat_solve(cfg), (1.0,)),
+                      (solve(cfg), (1.0 + lag[0], lag))):
+        want = scalar_march(lam_mass, lam_stiff, start, cfg.tau,
+                            cfg.n_steps, *args)
+        assert np.all(np.abs(run.coefficients - want)
+                      <= 1e-13 * np.abs(want))
+
+
 _LADDERS = {  # (N, M) of each run: Tables 1-2's space ladders, a mixed one
     "table1-space": [(64, m) for m in (4, 8, 16, 32, 64, 128)],
     "table2-space": [(64, m) for m in (8, 16, 32, 64, 128, 256)],
@@ -270,9 +294,9 @@ def _small(x):
 
 def test_one_bad_level_leaves_the_others_alone(exp_ex1):
     # levels marched as one set: data near the overflow threshold on one
-    # mesh must cost the small data of the others no digits (each mode
-    # is scaled alone; one scale for all would push them to subnormal
-    # numbers), and a mesh whose values turn non-finite comes back None
+    # mesh must cost the small data of the others no digits (modes never
+    # mix; a scale shared by all would push them to subnormal numbers),
+    # and a mesh whose values turn non-finite comes back None
     # by itself
     meshes = (4, 8, 16, 32, 64)
     for bad, initial in ((2, _huge), (2, _nan_inside), (0, _nan_inside),
@@ -299,8 +323,8 @@ def test_one_bad_level_leaves_the_others_alone(exp_ex1):
 
 
 def test_data_near_the_overflow_threshold_completes(exp_ex1):
-    # the blocked solve transforms sums of up to 2B values; scaled by a
-    # power of two it stays finite wherever the step-by-step sum does
+    # data near the overflow threshold on a decaying run: the causal
+    # block product, like the step-by-step sum, stays finite
     def huge(x):
         x = np.asarray(x, float)
         inside = (x > 1e-9) & (x < 1.0 - 1e-9)
@@ -390,6 +414,26 @@ def test_failure_names_the_block_of_the_first_bad_row(exp_ex1):
         assert _steps_named(err.value) == _block_of(first_bad, N), k
         rows.add(int(first_bad))
     assert {B - 2, B, B + 2, 2 * B, 2 * B + 2} <= rows, sorted(rows)
+
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-230, 1e-160])
+def test_amplifying_memory_keeps_every_row_accurate(scale, exp_ex1):
+    # each step multiplies the high modes by about 1e6, so a block's
+    # last row dwarfs its first: every row must still match the
+    # step-by-step march to rounding of its own size, and no row may
+    # overflow before that march does
+    N = 80
+    memory = np.zeros(N + 1)
+    memory[1] = -1e6
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(8), exponent=exp_ex1,
+                       initial=lambda x: scale * u0_quartic(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _march_meshes([cfg], 1.0, memory)[0].snapshots
+        want = direct_march(cfg, 1.0, memory)
+    gaps = np.abs(got - want).max(axis=1)
+    assert np.all(gaps <= 1e-13 * np.abs(want).max(axis=1))
 
 
 _MESHES = (4, 8, 16)
