@@ -33,7 +33,7 @@ _ALPHA_AT_ZERO_TOL = 1e-14
 _FD_REL_TOL = 1e-6
 # uniform sample grid of the range, bound and finiteness checks
 _N_SAMPLES = 2001
-# slots of the finite-difference check, two candidate times each
+# slots of the finite-difference check, one sample time each
 _N_FD_SLOTS = 41
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -82,8 +82,8 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
     alpha_star >= 1, a non-finite sample of alpha, alpha' or alpha'',
     alpha(t) outside [0, alpha_star], a derivative exceeding
     deriv_bound, or a supplied derivative inconsistent with central
-    finite differences of alpha.  On success returns a report that
-    carries the case classification.
+    finite differences of the function it differentiates.  On success
+    returns a report that carries the case classification.
     """
     if not 0.0 < T < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {T}")
@@ -154,43 +154,38 @@ def classify_case(exp: VariableExponent) -> CaseClass:
 
 
 def _finite_difference_check(exp, T):
-    """Scaled mismatch between supplied derivatives and central stencils.
+    """Scaled mismatch of alpha' with central differences of alpha and of
+    alpha'' with central differences of alpha'.
 
-    Slot i of the _N_FD_SLOTS slots holds two candidate times
-    T (i + f) / _N_FD_SLOTS, f = g and 1 - g for the golden ratio
-    fraction g: irrational offsets miss the knots of a table sampled at
-    rational times, and one knot cannot spoil both candidates (a
-    spline's third derivative jumps at a knot, where a central stencil
-    is first order).  The steps h run 1e-2 max(T, 1) 10^-k, k = 0, 1,
-    ..., down to 1e-5 T, for profiles on a unit time scale and on the
-    time scale T; t +- h may leave [0, T].  Each slot keeps its best
-    candidate and step, so an exact derivative matches where truncation
-    and rounding error are both small and a wrong one matches nowhere.
-    Returns the worst slot of |fd - d| / max(1, max |d|), inf where
-    every stencil is non-finite.
+    Slot i of the _N_FD_SLOTS slots samples t = T (i + g) / _N_FD_SLOTS
+    for the golden ratio fraction g, an irrational offset that misses
+    the knots of a table sampled at rational times.  The steps h run
+    1e-2 max(T, 1) 10^-k, k = 0, 1, ..., down to 1e-9 T, for profiles on
+    a unit time scale and on the time scale T; t +- h may leave [0, T].
+    A first difference rounds like eps / h, so the steps can shrink
+    inside any knot spacing of a spline, whose next derivative jumps at
+    a knot.  Each slot keeps its best step, so an exact derivative
+    matches where truncation and rounding error are both small and a
+    wrong one matches nowhere.  Returns the worst slot of
+    |fd - d| / max(1, max |d|) for each derivative, inf where every
+    stencil is non-finite.
     """
-    decades = 3 + math.ceil(max(0.0, -math.log10(T)))
+    decades = 7 + math.ceil(max(0.0, -math.log10(T)))
     h = 1e-2 * max(T, 1.0) * 10.0 ** -np.arange(decades + 1.0)[:, None]
-    slot = np.arange(_N_FD_SLOTS)
-    t = T / _N_FD_SLOTS * np.concatenate(
-        [slot + _GOLDEN, slot + 1.0 - _GOLDEN])
-    a = np.asarray(exp.alpha(t), float)
-    d1 = np.asarray(exp.alpha_d1(t), float)
-    d2 = np.asarray(exp.alpha_d2(t), float)
+    t = T / _N_FD_SLOTS * (np.arange(_N_FD_SLOTS) + _GOLDEN)
+    return (_mismatch(exp.alpha, exp.alpha_d1, t, h),
+            _mismatch(exp.alpha_d1, exp.alpha_d2, t, h))
+
+
+def _mismatch(f, df, t, h):
+    """Worst slot of the best step (row) of |(f(t+h) - f(t-h))/2h - df(t)|."""
+    d = np.asarray(df(t), float)
     shifted = np.concatenate([t + h, t - h])
     up, down = np.split(
-        np.asarray(exp.alpha(shifted.ravel()), float).reshape(shifted.shape),
-        2)
+        np.asarray(f(shifted.ravel()), float).reshape(shifted.shape), 2)
     with np.errstate(all="ignore"):
-        fd1 = (up - down) / (2.0 * h)
-        fd2 = (up - 2.0 * a + down) / (h * h)
-        return _mismatch(fd1, d1), _mismatch(fd2, d2)
-
-
-def _mismatch(fd, d):
-    """Worst slot of the best candidate and step (fd rows are steps)."""
-    err = np.abs(fd - d)
-    err = np.where(np.isnan(err), np.inf, err).reshape(-1, _N_FD_SLOTS)
+        err = np.abs((up - down) / (2.0 * h) - d)
+    err = np.where(np.isnan(err), np.inf, err)
     return float(err.min(axis=0).max() / max(1.0, float(np.abs(d).max())))
 
 

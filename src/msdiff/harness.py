@@ -321,8 +321,11 @@ def emit_weights_csv(cfg: ExperimentConfig) -> str:
     """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows."""
     exp = cfg.build_exponent()
     validate_assumption_a(exp, cfg.T)
-    lag = assemble_weights(cfg.n_steps, cfg.T / cfg.n_steps, exp)
-    n, k = np.tril_indices(cfg.n_steps)
+    steps = cfg.n_steps
+    # assemble_weights refuses a step count past 2**60 before it reads
+    # the step size, which T / N cannot give past the float range
+    lag = assemble_weights(steps, cfg.T / min(steps, 2 ** 62), exp)
+    n, k = np.tril_indices(steps)
     return _csv("n,k,b", n + 1, k + 1, lag[n - k])
 
 

@@ -86,12 +86,12 @@ class SolverConfig:
         if self.n_steps < 1:
             raise ValidationError(
                 f"need at least one time step, got {self.n_steps}")
-        if not self.tau >= np.finfo(float).tiny:  # else M/tau overflows
-            raise ValidationError(f"time step T/N = {self.tau} underflows")
         size = (int(self.n_steps) + 1) * int(self.mesh.n_unknowns)
         if 8 * size > np.iinfo(np.intp).max:  # numpy cannot size it
             raise ValidationError(
                 f"history (N+1) x (M-1) = {size} values is too large")
+        if not self.tau >= np.finfo(float).tiny:  # else M/tau overflows
+            raise ValidationError(f"time step T/N = {self.tau} underflows")
 
     @property
     def tau(self) -> float:

@@ -296,21 +296,34 @@ def scalar_march(lam_mass, lam_stiff, start, tau, n_steps, implicit,
 
 
 def mp_march(m_cells, tau, n_steps, start, implicit, memory=None,
-             first=1) -> np.ndarray:
+             first=1, source=None) -> np.ndarray:
     """Nodal snapshots U_0..U_N (rows) of the backward-Euler P1 scheme
 
-        (M/tau + implicit A) U_n = (M/tau) U_{n-1}
+        (M/tau + implicit A) U_n = (M/tau) U_{n-1} + F_n
                                    - A sum_{k=first..n-1} memory[n-k] U_k
 
     in 40-digit mpmath, with dense P1 mass M and stiffness A on
     h = 1/m_cells, the system matrix inverted once and A U_k kept for
     the memory sum: no sine transform, FFT, power-of-two scaling or
     blocking.  start is the float U_0 and tau is taken exactly;
-    implicit and memory[j] should carry 40 digits (mpf).  Only the
-    result is rounded to float64.
+    implicit and memory[j] should carry 40 digits (mpf).  F_n is zero
+    without a source, else the load vector of source(x, n tau) (mpf in,
+    mpf out) by two-point Gauss per cell, its nodes and weights in 40
+    digits.  Only the result is rounded to float64.
     """
     with mpmath.workdps(40):
         size, h, tau = m_cells - 1, mpmath.mpf(1) / m_cells, mpmath.mpf(tau)
+        rises = [mpmath.mpf(1) / 2 + s / (2 * mpmath.sqrt(3)) for s in (-1, 1)]
+
+        def load(t):  # nodal F at time t, boundary nodes included
+            nodal = [mpmath.mpf(0)] * (m_cells + 1)
+            for cell in range(m_cells):
+                for rise in rises:
+                    part = h / 2 * source((cell + rise) * h, t)
+                    nodal[cell] += (1 - rise) * part
+                    nodal[cell + 1] += rise * part
+            return nodal[1:-1]
+
         mass, stiff = mpmath.zeros(size), mpmath.zeros(size)
         for i in range(size):
             mass[i, i], stiff[i, i] = 4 * h / 6, 2 / h
@@ -325,6 +338,8 @@ def mp_march(m_cells, tau, n_steps, start, implicit, memory=None,
         pushed = [[] for _ in range(size)]  # (A U_k)[i], k = first..n-1
         for n in range(1, n_steps + 1):
             rhs = [mpmath.fdot(row, hist[n - 1]) for row in mass]
+            if source is not None:
+                rhs = [r + f for r, f in zip(rhs, load(n * tau))]
             if memory is not None and n > first:
                 for col, row in zip(pushed, stiff):
                     col.append(mpmath.fdot(row, hist[n - 1]))

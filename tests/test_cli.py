@@ -142,14 +142,14 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
     assert main(["figure1", "--T", "1e308", "--N", "8", "--M", "4"]
                 + out) in (2, 3)
     # runs whose arrays numpy cannot size are refused before allocating
-    huge = str(2 ** 62)
-    for argv in (["solve", "--N", huge, "--M", "4"],
-                 ["solve", "--N", "4", "--M", huge],
-                 ["weights-dump", "--N", huge],
-                 ["figure1", "--N", huge, "--M", "4"],
-                 ["convergence-space", "--N", "4", "--M", huge,
-                  "--levels", "2"]):
-        assert main(argv + out) == 2, argv
+    for huge in (str(2 ** 62), str(10 ** 400)):  # 10**400: past float range
+        for argv in (["solve", "--N", huge, "--M", "4"],
+                     ["solve", "--N", "4", "--M", huge],
+                     ["weights-dump", "--N", huge],
+                     ["figure1", "--N", huge, "--M", "4"],
+                     ["convergence-space", "--N", "4", "--M", huge,
+                      "--levels", "2"]):
+            assert main(argv + out) == 2, argv
     assert "Traceback" not in capsys.readouterr().err
     # numpy prints no warning on the way
     proc = subprocess.run(
@@ -157,6 +157,31 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
          "8", "--M", "4"] + out, capture_output=True, text=True)
     assert proc.returncode in (0, 2)
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,config,code,reason", [
+    (["--N", "1", "--M", "2", "--T", "1.5", "--exponent", "exp-example2"],
+     None, 3, "implicit memory coefficient -0.474"),
+    ([], "N 8\n", 2, "expected 'key = value'"),
+    ([], "N = eight\n", 2, "bad value for 'N'"),
+    (["--u0", "custom-table"], None, 2, "this run needs --u0-table"),
+], ids=["step-too-long", "config-no-equals", "config-bad-int", "no-u0-table"])
+def test_failed_solve_names_its_reason(tmp_path, capsys, args, config, code,
+                                       reason):
+    argv = ["solve", "--out", str(tmp_path / "out.csv")] + args
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-dir" / "out.csv"
+    assert main(["solve", "--N", "8", "--M", "4", "--out", str(out)]) == 2
+    assert f"msd: invalid input: cannot write {out}" in capsys.readouterr().err
 
 
 _WITHOUT_SCIPY = """
@@ -205,16 +230,19 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, message,
 
 
 def _write_tables(tmp_path):
-    alpha = tmp_path / "alpha.csv"
-    alpha.write_text("".join(f"{t},{0.05 * t}\n" for t in range(9)))
-    u0 = tmp_path / "u0.csv"
-    u0.write_text("x,value\n0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0,zero\n")
-    nan = tmp_path / "nan.csv"
-    nan.write_text("0,0\n0.25,0.1\n0.5,nan\n0.75,0.1\n1,0\n")
-    return [str(alpha), str(u0), str(bad), str(nan),
-            str(tmp_path / "missing.csv")]
+    """The fuzzed tables, each written once: rewriting a file costs far
+    more than creating one on some disks, and the examples share them."""
+    contents = {
+        "alpha.csv": "".join(f"{t},{0.05 * t}\n" for t in range(9)),
+        "u0.csv": "x,value\n0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n",
+        "bad.csv": "0,zero\n",
+        "nan.csv": "0,0\n0.25,0.1\n0.5,nan\n0.75,0.1\n1,0\n",
+    }
+    for name, text in contents.items():
+        if not (tmp_path / name).exists():
+            (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in contents] + [
+        str(tmp_path / "missing.csv")]
 
 
 def _values(key, tables, tmp_path):
@@ -246,6 +274,7 @@ def _values(key, tables, tmp_path):
        data=st.data())
 def test_fuzzed_command_lines_exit_cleanly(tmp_path, kind, keys, data):
     tables = _write_tables(tmp_path)
+    (tmp_path / "out.csv").unlink(missing_ok=True)  # create, not rewrite
     argv = [kind, "--out", str(tmp_path / "out.csv")]
     for key in keys:
         argv += [_flag(key), data.draw(_values(key, tables, tmp_path), key)]

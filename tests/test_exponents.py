@@ -113,6 +113,13 @@ def test_rejects_inconsistent_derivative():
         validate_assumption_a(exp, 1.0)
 
 
+def test_rejects_a_derivative_above_its_bound():
+    exp = example_exponent_1(1.0)
+    exp.deriv_bound = 0.5  # |alpha'(0)| = 1
+    with pytest.raises(ValidationError, match="derivative bound 0.5 violated"):
+        validate_assumption_a(exp, 1.0)
+
+
 def test_rejects_bad_sampling_parameters(exp_ex1):
     with pytest.raises(ValidationError):
         validate_assumption_a(exp_ex1, -1.0)
@@ -144,6 +151,8 @@ def test_tabulated_exponent_rejects_bad_samples():
         tabulated_exponent([0.1, 0.5, 0.8, 1.0], [0.0, 0.1, 0.15, 0.2])
     with pytest.raises(ValidationError, match="overflows"):
         tabulated_exponent([0.0, 1e-200, 0.5, 1.0], [0.0, 0.1, 0.2, 0.3])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        tabulated_exponent([0.0, 0.5, 0.25, 1.0], [0.0, 0.1, 0.2, 0.3])
 
 
 def test_exponent_registry_names():
@@ -156,6 +165,19 @@ def test_exponent_registry_names():
         exponent_by_name("nope", 1.0)
     with pytest.raises(ValidationError):
         exponent_by_name("table", 1.0)  # missing sample file
+
+
+def test_tabulated_exponent_with_knots_around_a_sample_validates():
+    # knot pairs 0.003 apart bracket T (2 + g) / 41 and T (3 - g) / 41,
+    # both golden-ratio times of slot 2: a second difference of alpha
+    # across a knot is first order, so checking alpha'' by one would
+    # refuse this admissible table
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = (3.0 - g) / 41.0, (2.0 + g) / 41.0
+    exp = tabulated_exponent([0.0, a - 0.003, a, b, b + 0.003, 0.6, 1.0],
+                             [0.0, 0.1, 0.102, 0.108, 0.11, 0.5, 0.8])
+    report = validate_assumption_a(exp, 1.0)
+    assert report.fd_err_d1 <= 1e-6 and report.fd_err_d2 <= 1e-6
 
 
 def test_tabulated_bounds_cover_the_knots():

@@ -195,6 +195,16 @@ def test_emit_rejects_empty_table():
         emit_table(empty, "csv")
 
 
+def test_table_formatting_refuses_what_it_cannot_render():
+    assert format_sig5(math.nan) == "nan"
+    with pytest.raises(ValidationError, match="unknown output format"):
+        emit_table(_toy_table(), "yaml")
+    text = emit_table(_toy_table(), "csv").replace("# kind=", "# sort=")
+    with pytest.raises(ValidationError,
+                       match="malformed table header: missing 'kind'"):
+        parse_rate_table(text)
+
+
 def test_identical_configs_give_byte_identical_output():
     a = emit_table(run_convergence_time(small_time_cfg()), "csv")
     b = emit_table(run_convergence_time(small_time_cfg()), "csv")
@@ -283,6 +293,7 @@ def test_cli_validation_failure_exits_2(capsys):
     "0,0\n0.25,0.1\n0.5,0.1\n0.75,0.1\ninf,0\n",
     "0,0\n5e-324,0\n1e-323,0\n1,0\n",
     "# no rows\n",
+    "0,0\n0.5,0.1\n0.25,0.1\n1,0\n",
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):

@@ -139,6 +139,11 @@ def _source(x, t):
     return (1.0 + 3.0 * t) * np.cos(3.0 * np.asarray(x, float)) + x
 
 
+def _mp_source(x, t):
+    """_source on mpf arguments, for the 40-digit scheme."""
+    return (1 + 3 * t) * mpmath.cos(3 * x) + x
+
+
 @pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 2 * B + 1,
                                2 * B + B // 2 + 1, 3 * B])
 def test_blocked_marcher_matches_direct_oracle(N):
@@ -169,7 +174,8 @@ def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
 
 def _mp_scheme_gaps(N, M):
     # gap of each marcher's snapshots to the 40-digit scheme, relative
-    # to max |U|: solve on the four built-in profiles, then heat and CQ
+    # to max |U|: solve on the four built-in profiles, then heat and CQ;
+    # solve (exp-example1), heat and CQ also with the source _source
     tau, start = 1.0 / N, u0_quartic(Mesh1D(M).interior_nodes())
     runs = []
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
@@ -178,16 +184,28 @@ def _mp_scheme_gaps(N, M):
                            initial=u0_quartic)
         lag = mp_lag_weights(tau, cfg.exponent, np.arange(N))
         with mpmath.workdps(40):
-            want = mp_march(M, tau, N, start, 1 + mpmath.mpf(lag[0]), lag)
+            implicit = 1 + mpmath.mpf(lag[0])
+            want = mp_march(M, tau, N, start, implicit, lag)
         runs.append((solve(cfg), want))
-    runs.append((heat_solve(cfg), mp_march(M, tau, N, start, 1)))
+        if name == "exp-example1":
+            with mpmath.workdps(40):
+                want = mp_march(M, tau, N, start, implicit, lag,
+                                source=_mp_source)
+            runs.append((solve(dataclasses.replace(cfg, source=_source)),
+                         want))
     with mpmath.workdps(40):
         alpha, scale = mpmath.mpf(0.4), mpmath.mpf(tau) ** -mpmath.mpf(0.4)
         memory = [scale]
         for j in range(1, N + 1):
             memory.append(memory[-1] * (j - 1 - alpha) / j)
-        want = mp_march(M, tau, N, start, scale, memory, first=0)
-    runs.append((constant_subdiffusion_solve(cfg, 0.4), want))
+    for source, mp_source in ((None, None), (_source, _mp_source)):
+        cfg = dataclasses.replace(cfg, source=source)
+        with mpmath.workdps(40):
+            heat = mp_march(M, tau, N, start, 1, source=mp_source)
+            cq = mp_march(M, tau, N, start, scale, memory, first=0,
+                          source=mp_source)
+        runs += [(heat_solve(cfg), heat),
+                 (constant_subdiffusion_solve(cfg, 0.4), cq)]
     return [np.abs(got.snapshots - want).max() / np.abs(want).max()
             for got, want in runs]
 
