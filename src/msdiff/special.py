@@ -31,8 +31,8 @@ def gamma(x):
     x = np.asarray(x, float)
     if not np.all(x > 0.0):
         raise ValidationError(f"gamma requires positive arguments, got {x}")
-    values = [math.gamma(v) for v in x.ravel().tolist()]
-    return np.array(values).reshape(x.shape)[()]
+    values = np.fromiter(map(math.gamma, x.ravel().tolist()), float, x.size)
+    return values.reshape(x.shape)[()]
 
 
 def digamma(x):

@@ -35,18 +35,22 @@ steps and, per block lo..hi-1:
 
 1. adds the history before the block, U_first..U_{lo-1}, as one matrix
    product of a B-row Toeplitz strip of w with the stored coefficients;
-2. solves the block's own triangle by one causal product with a
-   lower-triangular Toeplitz view of each mode's inverse, whose first
-   column a B-step recurrence gives once a run.  Row i depends only on
-   rows up to i, so each row is as accurate as the step-by-step march.
+2. solves the block's own triangle in two halves of H = B/2 rows, each
+   by one batched product with every mode's dense H x H inverse, whose
+   first column an H-step recurrence gives once a run.  Before its
+   solve the bottom half takes away the top half's share: gain_k times
+   C times the top rows, with one lag Toeplitz matrix
+   C[i, j] = w[H + i - j] for all modes, and it adds decay_k times the
+   top's last row to its first row.  Row i depends only on rows up to
+   i, so each row is as accurate as the step-by-step march.
 
-A run takes N/B + B interpreter steps instead of N, and the memory sum
+A run takes N/B + B/2 interpreter steps instead of N, and the memory sum
 is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
 because the memory term needs it anyway).  Modes never mix, so the
 marcher takes a `ModeSet`, the modes of one or more meshes on one time
 grid; `solve_ladder` marches the meshes of a ladder that share N as
 one set.  A mesh is judged once, by row N, which any non-finite value
-reaches (decay > 0 carries it on and the block product carries it): it
+reaches (decay > 0 carries it on, and so do the half-block products): it
 drops out alone, and SolverError, naming a block of steps, comes once
 none is left.  A run stays in the sine basis; `SolutionHistory` and the
 samplers transform back only what is read.
@@ -191,10 +195,13 @@ def solve_ladder(configs: list) -> list:
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
-# of `SolutionHistory.snapshots`.  In a benchmark sweep over 16..128 of
-# the FFT block solve, 64 and 128 ran 3-11% faster than 32 but added
-# 5-10% to peak memory over the step-by-step marcher, against 3-5% for
-# 32; 16 ran 20% slower.
+# of `SolutionHistory.snapshots`.  The dense half-block inverses hold
+# modes x (B/2)^2 floats: 0.26 MB at figure1's 127 modes, 1 MiB at Table
+# 2's 498.  In an in-process sweep (best of 25 marches), B = 16 ran
+# 7-40% slower than 32 on N = 128..2048 at M = 32 and 128; B = 64 ran
+# 14% faster to 6% slower there and 35-42% slower on Table 2's 498-mode
+# ladder, whose traced peak it raised from 1.5 to 4.8 MB (figure1: 1.7
+# to 2.8 MB), past the bounds of the tests.
 _BLOCK_ROWS = 32
 
 
@@ -239,7 +246,9 @@ def _march(modes: ModeSet, implicit: float,
     memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
     entry 0 is never read (its share sits in `implicit`, which must be
     positive, else SolverError).  A block of steps lo..hi-1 costs one
-    GEMM with the earlier history and one causal product (module doc).
+    GEMM with the earlier history and two half-block solves, each one
+    batched product with the dense inverses, joined by one H x H GEMM
+    with the lag matrix C (module doc).
     Returns the (N+1) x modes history, for the caller to judge.
     """
     tau, N = modes.tau, modes.n_steps
@@ -250,7 +259,7 @@ def _march(modes: ModeSet, implicit: float,
     decay = modes.lam_mass / (tau * denom)
     inv_denom = 1.0 / denom
     gain = modes.lam_stiff * inv_denom
-    size = min(_BLOCK_ROWS, N)
+    size, half = min(_BLOCK_ROWS, N), min(_BLOCK_ROWS // 2, N)
     history = np.empty((N + 1, modes.start.size))
     history[0] = modes.start
 
@@ -258,13 +267,16 @@ def _march(modes: ModeSet, implicit: float,
     if memory is not None:
         lags[1:N - first + 1] = memory[1:N - first + 1]
         # strip[i, c] = lags[i + N + size - c]: row i of the block at lo
-        # takes strip[i, first - lo:], the weights of U_first..U_{lo-1}
+        # takes strip[i, first - lo:], the weights of U_first..U_{lo-1};
+        # its last `half` columns are the top half's weights in the
+        # bottom half, coupling[i, j] = lags[half + i - j]
         windows = np.lib.stride_tricks.sliding_window_view(lags[::-1],
                                                            N + size)
         strip = np.ascontiguousarray(windows[size - 1::-1])
+        coupling = strip[:half, N + size - half:]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse = _inverse_toeplitz(decay, gain, lags[:size])
+        inverse = _inverse_toeplitz(decay, gain, lags[:half])
         for lo in range(1, N + 1, size):
             hi = min(lo + size, N + 1)
             block = history[lo:hi]
@@ -277,34 +289,48 @@ def _march(modes: ModeSet, implicit: float,
             block[0] += decay * history[lo - 1]
             if modes.forcing is not None:
                 block += inv_denom * modes.forcing(lo, hi)
-            rows = hi - lo
-            block[:] = np.einsum("ikj,jk->ik", inverse[:rows, :, :rows], block)
+            top, bottom = block[:half], block[half:]
+            _causal_solve(inverse, top)
+            if len(bottom):
+                if memory is not None:
+                    bottom -= gain * (coupling[:len(bottom)] @ top)
+                bottom[0] += decay * top[-1]
+                _causal_solve(inverse, bottom)
     return history
+
+
+def _causal_solve(inverse: np.ndarray, rows: np.ndarray) -> None:
+    """Solve the n x modes `rows` in place, n <= H: one batched product
+    of each mode's column with the leading n x n corner of its inverse."""
+    n = len(rows)
+    rows[:] = np.matmul(inverse[:, :n, :n], rows.T[:, :, None])[..., 0].T
 
 
 def _inverse_toeplitz(decay: np.ndarray, gain: np.ndarray,
                       lags: np.ndarray) -> np.ndarray:
-    """B x modes x B view of each mode's inverse block: entry (i, k, j)
-    is v_k[i - j], zero for j > i.
+    """Dense modes x H x H inverse of each mode's H-step matrix, H =
+    lags.size (B/2 in _march): entry (k, i, j) is v_k[i - j], zero for
+    j > i.
 
-    Mode k's B x B step matrix is lower-triangular Toeplitz with first
+    Mode k's H x H step matrix is lower-triangular Toeplitz with first
     column t = (1, gain_k lags[1] - decay_k, gain_k lags[2], ..); so is
     its inverse, whose first column v obeys v[0] = 1 and
     v[n] = -sum_{j=1..n} t[j] v[n-j], run for all modes at once.  v
-    sits below B - 1 zero rows, so the view allocates nothing more.
-    B = lags.size; lags[0] is not read.
+    sits below H - 1 zero rows, whose length-H windows are the rows of
+    the inverse, copied once into a contiguous array.  lags[0] is not
+    read.
     """
     size = lags.size
     coef = np.outer(lags, gain)
     coef[1:2] -= decay
     padded = np.zeros((2 * size - 1, gain.size))
-    inverse = padded[size - 1:]
-    inverse[0] = 1.0
+    column = padded[size - 1:]
+    column[0] = 1.0
     for n in range(1, size):
-        inverse[n] = -np.einsum("jk,jk->k", coef[1:n + 1],
-                                inverse[n - 1::-1])
+        column[n] = -np.einsum("jk,jk->k", coef[1:n + 1],
+                               column[n - 1::-1])
     windows = np.lib.stride_tricks.sliding_window_view(padded, size, axis=0)
-    return windows[..., ::-1]
+    return np.ascontiguousarray(windows[..., ::-1].transpose(1, 0, 2))
 
 
 def sample_series(history: SolutionHistory, x: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import unittest.mock
 import warnings
 
@@ -31,6 +32,7 @@ from oracles import (dense_from_tridiag, dense_gauss_solve, dense_history,
                      direct_march, mp_lag_weights, mp_march, scalar_march)
 
 B = _BLOCK_ROWS
+H = B // 2  # rows of a half block
 
 
 def test_config_validation(exp_zero):
@@ -129,10 +131,13 @@ def test_marcher_matches_dense_oracles(N, M, alpha_bar):
         assert np.abs(got.snapshots - want).max() <= 1e-12, name
 
 
-def _assert_matches_direct(cfg, implicit, memory=None, first=1):
-    got = _march_meshes([cfg], implicit, memory, first)[0].snapshots
-    want = direct_march(cfg, implicit, memory, first)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+def _assert_matches_direct(configs, implicit, memory=None, first=1):
+    # the configs march as one mode set; each matches its own oracle
+    runs = _march_meshes(configs, implicit, memory, first)
+    for cfg, run in zip(configs, runs):
+        want = direct_march(cfg, implicit, memory, first)
+        assert np.abs(run.snapshots - want).max() \
+            <= 1e-12 * np.abs(want).max(), cfg.mesh
 
 
 def _source(x, t):
@@ -144,32 +149,39 @@ def _mp_source(x, t):
     return (1 + 3 * t) * mpmath.cos(3 * x) + x
 
 
-@pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 2 * B + 1,
-                               2 * B + B // 2 + 1, 3 * B])
+@pytest.mark.parametrize("N", [1, H - 1, H, H + 1, B - 1, B, B + 1, B + H,
+                               B + H + 1, 2 * B + 1, 2 * B + H + 1, 3 * B])
 def test_blocked_marcher_matches_direct_oracle(N):
-    # block edges at every position: one short block, exactly one, one
-    # plus a single step, several, and a partial last block that takes
-    # only the top B/2 + 1 rows of the strip, for all callers of the
-    # marcher
-    mesh, tau = Mesh1D(5), 1.0 / N
+    # block and half-block edges at every position: a run shorter than
+    # a half block, exactly one, a bottom half of a single step, one
+    # short block, exactly one, one plus a single step, several, and
+    # partial last blocks that end at or just past the half; for all
+    # callers of the marcher (first 1 and 0, with and without a source)
+    # on a set of 4 + 159 modes, more than figure1's 127
+    tau = 1.0 / N
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
         exp = exponent_by_name(name, 1.0, 0.4)
-        cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp,
-                           initial=u0_quartic)
+        configs = [SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(m),
+                                exponent=exp, initial=u0_quartic)
+                   for m in (5, 160)]
         lag = assemble_weights(N, tau, exp)
-        _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+        _assert_matches_direct(configs, 1.0 + lag[0], lag)
+        if name == "exp-example1":
+            _assert_matches_direct([dataclasses.replace(c, source=_source)
+                                    for c in configs], 1.0 + lag[0], lag)
     scale = tau ** -0.4
-    _assert_matches_direct(cfg, scale, scale * cq_weights(0.4, N), first=0)
-    _assert_matches_direct(cfg, 1.0)
-    _assert_matches_direct(dataclasses.replace(cfg, source=_source),
-                           1.0 + lag[0], lag)
+    for source in (None, _source):
+        configs = [dataclasses.replace(c, source=source) for c in configs]
+        _assert_matches_direct(configs, scale, scale * cq_weights(0.4, N),
+                               first=0)
+        _assert_matches_direct(configs, 1.0)
 
 
 def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
     cfg = SolverConfig(T=1.0, n_steps=4096, mesh=Mesh1D(16),
                        exponent=exp_ex1, initial=u0_sine)
     lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
-    _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+    _assert_matches_direct([cfg], 1.0 + lag[0], lag)
 
 
 def _mp_scheme_gaps(N, M):
@@ -295,6 +307,23 @@ def test_ladder_finals_match_separate_solves(ladder, name):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), cfg
 
 
+def test_table2_space_ladder_peak_memory(exp_ex2):
+    # Table 2's six meshes march as one set of 498 modes.  Traced peaks
+    # measured: 1.54 MB with dense 16 x 16 inverses per mode (half-block
+    # solve), 0.71 MB with a zero-copy Toeplitz view of each mode's
+    # inverse column, 4.78 MB with dense 32 x 32 inverses (whole block)
+    configs = [SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(m),
+                            exponent=exp_ex2, initial=u0_quartic)
+               for _, m in _LADDERS["table2-space"]]
+    tracemalloc.start()
+    try:
+        solve_ladder(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+
+
 def _huge(x):
     x = np.asarray(x, float)
     inside = (x > 1e-9) & (x < 1.0 - 1e-9)
@@ -341,8 +370,8 @@ def test_one_bad_level_leaves_the_others_alone(exp_ex1):
 
 
 def test_data_near_the_overflow_threshold_completes(exp_ex1):
-    # data near the overflow threshold on a decaying run: the causal
-    # block product, like the step-by-step sum, stays finite
+    # data near the overflow threshold on a decaying run: the half-block
+    # products, like the step-by-step sum, stay finite
     def huge(x):
         x = np.asarray(x, float)
         inside = (x > 1e-9) & (x < 1.0 - 1e-9)
@@ -352,7 +381,7 @@ def test_data_near_the_overflow_threshold_completes(exp_ex1):
                        exponent=exp_ex1, initial=huge)
     lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
     assert np.all(np.isfinite(solve(cfg).snapshots))
-    _assert_matches_direct(cfg, 1.0 + lag[0], lag)
+    _assert_matches_direct([cfg], 1.0 + lag[0], lag)
 
 
 def test_amplifying_memory_raises_solver_error_naming_steps(exp_ex1):
@@ -450,6 +479,30 @@ def test_amplifying_memory_keeps_every_row_accurate(scale, exp_ex1):
         warnings.simplefilter("error")
         got = _march_meshes([cfg], 1.0, memory)[0].snapshots
         want = direct_march(cfg, 1.0, memory)
+    gaps = np.abs(got - want).max(axis=1)
+    assert np.all(gaps <= 1e-13 * np.abs(want).max(axis=1))
+
+
+@pytest.mark.parametrize("N", [B, B + H + 1, 3 * B])
+def test_amplifying_lag_reaches_the_bottom_half_through_the_coupling(
+        N, exp_zero):
+    # one lag of H + 3 steps multiplies by about 1e6: no half block's
+    # inverse holds it, so in the first block it reaches the bottom half
+    # only through the coupling C[i, j] = w[H + i - j]; 159 modes, whose
+    # bottom half it dominates, must match the step-by-step march row
+    # by row
+    memory = np.zeros(N + 1)
+    memory[H + 3] = -1e6
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(160),
+                       exponent=exp_zero, initial=u0_quartic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _march_meshes([cfg], 1.0, memory)[0].snapshots
+        want = direct_march(cfg, 1.0, memory)
+    free = direct_march(cfg, 1.0)
+    reached = slice(H + 4, B + 1)
+    assert np.all(np.abs(want[reached]).max(axis=1)
+                  > 1e3 * np.abs(free[reached]).max(axis=1))
     gaps = np.abs(got - want).max(axis=1)
     assert np.all(gaps <= 1e-13 * np.abs(want).max(axis=1))
 
