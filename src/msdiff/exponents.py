@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
+from .fem import TriDiagonalMatrix
 
 # |alpha'(0)| or |alpha''(0)| below this threshold counts as zero for the
 # case classification: well above double-precision noise, well below any
@@ -280,12 +281,11 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     """
     times = np.asarray(times, float)
     values = np.asarray(values, float)
-    if times.ndim != 1 or times.size < 4:
-        raise ValidationError("need at least 4 samples for a cubic exponent")
+    if times.ndim != 1 or times.size < 4 or values.shape != times.shape:
+        raise ValidationError("need at least 4 samples for a cubic exponent, "
+                              "one value per time")
     if times[0] != 0.0 or abs(values[0]) > _ALPHA_AT_ZERO_TOL:
         raise ValidationError("exponent samples must start at (0, 0)")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValidationError("sample times must be strictly increasing")
 
     spline = cubic_spline(times, values, f"exponent {name!r}")
     d1 = spline.derivative(1)
@@ -306,19 +306,69 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     )
 
 
-def cubic_spline(times, values, source: str):
-    """CubicSpline through the samples; ValidationError naming source if
-    the fit fails or overflows."""
-    from scipy.interpolate import CubicSpline
+class PiecewisePolynomial:
+    """Pieces c[:, i] on [x[i], x[i+1]] in powers of t - x[i], highest
+    first, as in scipy's PPoly.c; the end pieces extend past the ends."""
 
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c, self.x = c, x
+
+    def __call__(self, t):
+        t = np.asarray(t, float)
+        i = np.clip(np.searchsorted(self.x, t, "right") - 1, 0,
+                    self.x.size - 2)
+        out = self.c[0, i]
+        for row in self.c[1:]:  # Horner in t - x[i]
+            out = out * (t - self.x[i]) + row[i]
+        return out
+
+    def derivative(self, k: int = 1) -> "PiecewisePolynomial":
+        c = self.c
+        for _ in range(k):
+            c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
+        return PiecewisePolynomial(c, self.x)
+
+
+def cubic_spline(times, values, source: str) -> PiecewisePolynomial:
+    """Not-a-knot cubic spline through the samples, as scipy's
+    CubicSpline builds it: fem's Thomas solver solves scipy's rows for
+    the knot slopes s.  ValidationError naming source for fewer than 2
+    samples, knots that do not increase strictly, knots too close to
+    fit (a near-zero pivot) or a spline that overflows."""
+    x, y = np.asarray(times, float), np.asarray(values, float)
+    if x.ndim != 1 or y.shape != x.shape or x.size < 2:
+        raise ValidationError(
+            f"{source}: need at least 2 samples, one value per knot")
+    dx = np.diff(x)
+    if not np.all(dx > 0.0):
+        raise ValidationError(
+            f"{source}: knots must be strictly increasing")
     with np.errstate(all="ignore"):
+        slope = np.diff(y) / dx
+        if x.size < 4:  # a line through 2 samples, a parabola through 3
+            k = x.size - 2.0  # s[0] + k s[1] = (1 + k) slope[0], mirrored
+            head = (1.0, k, (1.0 + k) * slope[0])
+            tail = (k, 1.0, (1.0 + k) * slope[-1])
+        else:  # not-a-knot: one cubic across each pair of end pieces
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            head = (dx[1], d0, ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
+                                + dx[0] ** 2 * slope[1]) / d0)
+            tail = (d1, dx[-2], (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1])
+                                 * dx[-2] * slope[-1]) / d1)
+        rows = TriDiagonalMatrix(
+            sub=np.r_[dx[1:], tail[0]], sup=np.r_[head[1], dx[:-1]],
+            diag=np.r_[head[0], 2.0 * (dx[:-1] + dx[1:]), tail[1]])
         try:
-            spline = CubicSpline(times, values)
-        except (ValueError, np.linalg.LinAlgError) as err:
-            raise ValidationError(f"{source}: {err}") from err
-    if not np.all(np.isfinite(spline.c)):
+            s = rows.factor().solve(np.r_[head[2], 3.0 * (
+                dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), tail[2]])
+        except SolverError as err:
+            raise ValidationError(
+                f"{source}: knots too close to fit a spline ({err})") from err
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+    if not np.all(np.isfinite(c)):
         raise ValidationError(f"{source}: the cubic spline overflows")
-    return spline
+    return PiecewisePolynomial(c, x)
 
 
 def read_table_csv(path: str, columns: str) -> np.ndarray:
@@ -331,10 +381,10 @@ def read_table_csv(path: str, columns: str) -> np.ndarray:
         with warnings.catch_warnings():
             # an empty file warns; the column check below reports it
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#")
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read table {path}: {err}") from err
-    if data.ndim != 2 or data.shape[1] != 2:
+    if data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two columns {columns}")
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: non-finite entry in columns {columns}")
@@ -356,14 +406,15 @@ def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
         if table_path is None:
             raise ValidationError("profile 'table' needs an exponent-table file")
         data = read_table_csv(table_path, "t,alpha")
+        try:
+            exp = tabulated_exponent(data[:, 0], data[:, 1])
+        except ValidationError as err:
+            raise ValidationError(f"{table_path}: {err}") from err
         last = float(data[-1, 0])
         if T > last:
             raise ValidationError(
                 f"{table_path}: the last exponent sample is at t = {last}, "
                 f"before the final time T = {T}; the spline would "
                 "extrapolate")
-        try:
-            return tabulated_exponent(data[:, 0], data[:, 1])
-        except ValidationError as err:
-            raise ValidationError(f"{table_path}: {err}") from err
+        return exp
     raise ValidationError(f"unknown exponent profile {name!r}")

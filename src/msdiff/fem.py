@@ -6,13 +6,15 @@ stiffness matrices are the classical P1 tridiagonals (h/6)[1 4 1] and
 (1/h)[-1 2 -1].  Both are symmetric Toeplitz, so the sine vectors
 sin(j k pi / M), k = 1..M-1, are eigenvectors of both (sine_eigenvalues)
 and the discrete sine transform dst1 diagonalises them; the time
-marcher steps in that basis.  Banded storage with a Thomas solver is
-kept for callers that want the matrices themselves.  In 1-D the Ritz
-projection of a function with zero boundary values coincides with its
-nodal interpolant, so projection is plain sampling.
+marcher steps in that basis.  The banded tridiagonal storage and its
+Thomas solver fit the knot slopes of a table's cubic spline
+(exponents.cubic_spline).  In 1-D the Ritz projection of a function
+with zero boundary values coincides with its nodal interpolant, so
+projection is plain sampling.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +50,7 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class TriDiagonalMatrix:
-    """Symmetric-friendly banded storage: sub/sup of length M-2, diag M-1."""
+    """Banded storage: sub and sup (length n-1) beside diag (length n)."""
 
     sub: np.ndarray
     diag: np.ndarray
@@ -61,63 +63,37 @@ class TriDiagonalMatrix:
         return out
 
     def factor(self) -> "TriFactor":
-        """LU factorisation without pivoting (Thomas); flags tiny pivots."""
-        n = self.diag.size
-        piv = self.diag.astype(float).copy()
-        low = np.empty(max(n - 1, 0))
-        for i in range(n - 1):
+        """LU factorisation without pivoting (Thomas) in python floats,
+        which overflow to inf without a warning; a pivot smaller than
+        _PIVOT_FLOOR in size raises SolverError."""
+        sub, diag, sup = (np.asarray(v, float).tolist()
+                          for v in (self.sub, self.diag, self.sup))
+        low, piv = [], diag[:1]
+        for i in range(len(diag)):
             if abs(piv[i]) < _PIVOT_FLOOR:
                 raise SolverError(f"near-zero pivot {piv[i]!r} at row {i}")
-            low[i] = self.sub[i] / piv[i]
-            piv[i + 1] = self.diag[i + 1] - low[i] * self.sup[i]
-        if abs(piv[n - 1]) < _PIVOT_FLOOR:
-            raise SolverError(f"near-zero pivot {piv[n - 1]!r} at row {n - 1}")
-        return TriFactor(low, piv, np.asarray(self.sup, float))
+            if i < len(sub):
+                low.append(sub[i] / piv[i])
+                piv.append(diag[i + 1] - low[i] * sup[i])
+        return TriFactor(low, piv, sup)
 
 
-class TriFactor:
+class TriFactor(NamedTuple):
     """Factored tridiagonal system; solve() runs the two Thomas sweeps."""
 
-    def __init__(self, low, piv, sup):
-        # plain lists: python-float sweeps are much faster than ndarray
-        # scalar indexing for the short recurrences solved here
-        self._low = low.tolist()
-        self._piv = piv.tolist()
-        self._sup = sup.tolist()
-        self._n = len(self._piv)
+    low: list
+    piv: list
+    sup: list
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        n = self._n
-        low, piv, sup = self._low, self._piv, self._sup
+        low, piv, sup = self
         y = np.asarray(rhs, float).tolist()
-        for i in range(1, n):
+        for i in range(1, len(y)):
             y[i] -= low[i - 1] * y[i - 1]
-        y[n - 1] /= piv[n - 1]
-        for i in range(n - 2, -1, -1):
+        y[-1] /= piv[-1]
+        for i in range(len(y) - 2, -1, -1):
             y[i] = (y[i] - sup[i] * y[i + 1]) / piv[i]
         return np.asarray(y)
-
-
-def assemble_mass(mesh: Mesh1D) -> TriDiagonalMatrix:
-    """Consistent P1 mass matrix: diag 4h/6, off-diagonals h/6 (exact)."""
-    m = mesh.n_unknowns
-    h = mesh.h
-    return TriDiagonalMatrix(
-        sub=np.full(m - 1, h / 6.0),
-        diag=np.full(m, 4.0 * h / 6.0),
-        sup=np.full(m - 1, h / 6.0),
-    )
-
-
-def assemble_stiffness(mesh: Mesh1D) -> TriDiagonalMatrix:
-    """P1 stiffness matrix: diag 2/h, off-diagonals -1/h (exact)."""
-    m = mesh.n_unknowns
-    h = mesh.h
-    return TriDiagonalMatrix(
-        sub=np.full(m - 1, -1.0 / h),
-        diag=np.full(m, 2.0 / h),
-        sup=np.full(m - 1, -1.0 / h),
-    )
 
 
 def sine_eigenvalues(mesh: Mesh1D):

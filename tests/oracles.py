@@ -4,12 +4,13 @@ Everything here re-derives quantities along a route different from the
 library code: brute-force quadrature of defining integrals, 40-digit
 evaluation of the closed-form memory weights, dense Gaussian
 elimination, a Lanczos gamma independent of math.gamma,
-high-resolution quadrature of interpolants, a dense time-stepping
-loop that shares nothing with the library's marcher beyond the P1
-matrices and load vector, the direct sine-mode marcher that sums the
-whole history at every step, where the library solves blocks of steps
-at once, a scalar recurrence of single modes in python floats, and the
-whole nodal scheme in 40-digit arithmetic.
+high-resolution quadrature of interpolants, the banded P1 mass and
+stiffness matrices, a dense time-stepping loop built on them that
+shares nothing with the library's marcher beyond the load vector, the
+direct sine-mode marcher that sums the whole history at every step,
+where the library solves blocks of steps at once, a scalar recurrence
+of single modes in python floats, and the whole nodal scheme in
+40-digit arithmetic.
 """
 
 import math
@@ -19,8 +20,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from msdiff.fem import (assemble_mass, assemble_stiffness, dst1,
-                        load_vector, ritz_projection, sine_eigenvalues)
+from msdiff.fem import (Mesh1D, TriDiagonalMatrix, dst1, load_vector,
+                        ritz_projection, sine_eigenvalues)
 
 EULER = 0.5772156649015328606
 
@@ -177,6 +178,28 @@ def mp_heat_modes(tau: float, n_steps: int, m_cells: int,
             sines.append([float(mpmath.sinpi(mpmath.mpf(k * j) / m_cells))
                           for j in range(1, m_cells)])
     return np.array(amplitudes).T @ np.array(sines)
+
+
+def assemble_mass(mesh: Mesh1D) -> TriDiagonalMatrix:
+    """Consistent P1 mass matrix: diag 4h/6, off-diagonals h/6 (exact)."""
+    m = mesh.n_unknowns
+    h = mesh.h
+    return TriDiagonalMatrix(
+        sub=np.full(m - 1, h / 6.0),
+        diag=np.full(m, 4.0 * h / 6.0),
+        sup=np.full(m - 1, h / 6.0),
+    )
+
+
+def assemble_stiffness(mesh: Mesh1D) -> TriDiagonalMatrix:
+    """P1 stiffness matrix: diag 2/h, off-diagonals -1/h (exact)."""
+    m = mesh.n_unknowns
+    h = mesh.h
+    return TriDiagonalMatrix(
+        sub=np.full(m - 1, -1.0 / h),
+        diag=np.full(m, 2.0 / h),
+        sup=np.full(m - 1, -1.0 / h),
+    )
 
 
 def dense_from_tridiag(mat) -> np.ndarray:

@@ -194,7 +194,10 @@ runs = [["solve", "--exponent", "exp-figure1"] + small,
         + small,
         ["convergence-space", "--levels", "2"] + small,
         ["figure1", "--T", "2"] + small,
-        ["weights-dump", "--exponent", "zero", "--N", "8"]]
+        ["weights-dump", "--exponent", "zero", "--N", "8"],
+        ["solve", "--exponent", "table", "--exponent-table", sys.argv[2],
+         "--T", "1"] + small,
+        ["solve", "--u0", "custom-table", "--u0-table", sys.argv[3]] + small]
 for argv in runs:
     assert main(argv + out) == 0, argv
 print(",".join(sorted({name.split(".")[0] for name in sys.modules})))
@@ -203,11 +206,15 @@ print(",".join(sorted({name.split(".")[0] for name in sys.modules})))
 
 def test_built_in_profiles_run_without_loading_scipy(tmp_path):
     # importing scipy.special, scipy.fft or scipy.linalg adds 50-56 MB of
-    # resident memory to a run of msd, so only a table (cubic spline)
-    # may load scipy
+    # resident memory to a run of msd, scipy.interpolate about 50 MB, so
+    # no run loads scipy: neither the built-in profiles nor the cubic
+    # splines of an exponent table and an initial-data table
+    alpha, u0 = tmp_path / "alpha.csv", tmp_path / "u0.csv"
+    alpha.write_text("0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n")
+    u0.write_text("0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n")
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out.csv")],
-        capture_output=True, text=True)
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out.csv"),
+         str(alpha), str(u0)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.strip().split(",")
     assert "msdiff" in loaded and "numpy" in loaded

@@ -5,12 +5,12 @@ import pytest
 from scipy.linalg import eigh
 
 from msdiff.errors import SolverError, ValidationError
-from msdiff.fem import (Mesh1D, TriDiagonalMatrix, assemble_mass,
-                        assemble_stiffness, discrete_l2_norm, dst1,
+from msdiff.fem import (Mesh1D, TriDiagonalMatrix, discrete_l2_norm, dst1,
                         load_vector, ritz_projection, sine_eigenvalues)
 
-from oracles import (dense_from_tridiag, dense_gauss_solve,
-                     interpolant_error_l2, interpolant_l2_norm_sq)
+from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
+                     dense_gauss_solve, interpolant_error_l2,
+                     interpolant_l2_norm_sq)
 
 
 def test_mesh_basics():
@@ -79,7 +79,7 @@ def test_matrices_are_symmetric_positive_definite():
         for mat in (assemble_mass(mesh), assemble_stiffness(mesh)):
             assert np.array_equal(mat.sub, mat.sup)
             factor = mat.factor()  # positive pivots = SPD for symmetric
-            assert np.all(np.asarray(factor._piv) > 0.0)
+            assert np.all(np.asarray(factor.piv) > 0.0)
 
 
 @pytest.mark.parametrize("m_cells", [2, 3, 8, 33])

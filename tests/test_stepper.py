@@ -17,8 +17,7 @@ from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
-from msdiff.fem import (Mesh1D, assemble_mass, assemble_stiffness,
-                        discrete_l2_norm, dst1, ritz_projection,
+from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
                         sine_eigenvalues)
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve)
@@ -28,8 +27,9 @@ from msdiff.stepper import (_BLOCK_ROWS, ModeSet, SolverConfig, _march,
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
-from oracles import (dense_from_tridiag, dense_gauss_solve, dense_history,
-                     direct_march, mp_lag_weights, mp_march, scalar_march)
+from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
+                     dense_gauss_solve, dense_history, direct_march,
+                     mp_lag_weights, mp_march, scalar_march)
 
 B = _BLOCK_ROWS
 H = B // 2  # rows of a half block
