@@ -6,11 +6,11 @@
 Each subcommand takes exactly the flags of the options its kind reads
 (`harness.OPTIONS`); the flag of config key `alpha_end` is
 `--alpha-end`.  Config files are flat 'key = value' text with the same
-keys, and a flag overrides the file.  A flag or key the kind does not
-read is invalid input.  The parser is built once per process, on the
-first call of `main`, and every later call parses with it.  Exit codes:
-0 success, 2 invalid input, 3 solver failure (including running out of
-memory).
+keys, each at most once, and a flag overrides the file.  A flag or key
+the kind does not read is invalid input; a config error names its line.
+The parser is built once per process, on the first call of `main`, and
+every later call parses with it.  Exit codes: 0 success, 2 invalid
+input, 3 solver failure (including running out of memory).
 """
 
 import argparse
@@ -18,7 +18,7 @@ import functools
 import sys
 
 from .errors import SolverError, ValidationError
-from .harness import (KINDS, build_experiment, emit_comparison_csv,
+from .harness import (KINDS, ExperimentConfig, emit_comparison_csv,
                       emit_solution_csv, emit_table, emit_weights_csv,
                       load_config_file, options_for, run_convergence_space,
                       run_convergence_time, run_figure_comparison,
@@ -42,10 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple:
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = {opt.field: getattr(args, opt.field)
-                 for opt in options_for(args.kind)}
-    cfg = build_experiment(args.kind, file_values, overrides)
+    values = load_config_file(args.config, args.kind) if args.config else {}
+    values.update({opt.field: getattr(args, opt.field)
+                   for opt in options_for(args.kind)
+                   if getattr(args, opt.field) is not None})
+    cfg = ExperimentConfig(args.kind, **values)
     if cfg.kind == "convergence-time":
         return emit_table(run_convergence_time(cfg), cfg.fmt), cfg.out
     if cfg.kind == "convergence-space":

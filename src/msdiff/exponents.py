@@ -381,7 +381,8 @@ def read_table_csv(path: str, columns: str) -> np.ndarray:
         with warnings.catch_warnings():
             # an empty file warns; the column check below reports it
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2,
+                              encoding="utf-8-sig")
     except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read table {path}: {err}") from err
     if data.shape[1] != 2:

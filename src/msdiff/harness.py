@@ -333,11 +333,13 @@ def emit_weights_csv(cfg: ExperimentConfig) -> str:
 # Flat key=value config files
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a flat 'key = value' file; '#' starts a comment."""
+def load_config_file(path: str, kind: str) -> dict:
+    """ExperimentConfig fields of a flat 'key = value' file; '#' starts a
+    comment and a leading BOM is skipped.  A key may appear once, if runs
+    of this kind read it, and each error names its line."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as err:
         raise ValidationError(f"cannot read config {path}: {err}") from err
@@ -345,38 +347,27 @@ def load_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
             raise ValidationError(
-                f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+                f"{where}: expected 'key = value', got {raw!r}")
+        key, _, value = map(str.strip, line.partition("="))
         opt = next((o for o in OPTIONS if o.key == key), None)
         if opt is None:
-            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValidationError(f"{where}: unknown key {key!r}")
+        if kind not in opt.kinds:
+            raise ValidationError(
+                f"{where}: option {key!r} is not read by kind {kind!r}")
+        if opt.field in values:
+            raise ValidationError(f"{where}: key {key!r} given twice")
         try:
             values[opt.field] = opt.type(value)
+            if opt.choices and values[opt.field] not in opt.choices:
+                raise ValueError(f"{value!r} is not one of {opt.choices}")
         except ValueError as err:
             raise ValidationError(
-                f"{path}:{lineno}: bad value for {key!r}: {err}") from err
+                f"{where}: bad value for {key!r}: {err}") from err
     return values
-
-
-def build_experiment(kind: str, file_values: dict,
-                     overrides: dict) -> ExperimentConfig:
-    """Merge config-file values with CLI overrides (overrides win).
-
-    Both map ExperimentConfig fields to values; a field that runs of
-    this kind do not read is rejected.
-    """
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    read = {opt.field for opt in options_for(kind)}
-    for field in merged:
-        if field not in read:
-            key = next((o.key for o in OPTIONS if o.field == field), field)
-            raise ValidationError(
-                f"option {key!r} is not read by kind {kind!r}")
-    return ExperimentConfig(kind=kind, **merged)
 
 
 def write_text(text: str, path: Optional[str]) -> None:

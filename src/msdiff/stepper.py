@@ -201,7 +201,8 @@ def solve_ladder(configs: list) -> list:
 # 7-40% slower than 32 on N = 128..2048 at M = 32 and 128; B = 64 ran
 # 14% faster to 6% slower there and 35-42% slower on Table 2's 498-mode
 # ladder, whose traced peak it raised from 1.5 to 4.8 MB (figure1: 1.7
-# to 2.8 MB), past the bounds of the tests.
+# to 2.8 MB), past the bounds of the tests.  One causal solve per 16-row
+# block, or np.linalg.inv for the inverses, ran slower (ROADMAP item 7).
 _BLOCK_ROWS = 32
 
 

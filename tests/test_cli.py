@@ -122,9 +122,49 @@ def test_option_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, key,
     cfg.write_text(f"{key} = {value}\n")
     assert main([kind, "--config", str(cfg)] + out) == 2
     err = capsys.readouterr().err
-    assert "msd: invalid input" in err
+    assert f"msd: invalid input: {cfg}:1: " in err
     assert repr(key) in err and repr(kind) in err
     assert not (tmp_path / "out.csv").exists()
+
+
+# (kind, config text, line, reason): each kind of bad line, after good ones
+CONFIG_ERRORS = [
+    ("solve", "N = 8\n\nmystery = 3\n", 3, "unknown key 'mystery'"),
+    ("weights-dump", "# steps\nN = 8\nM = 4\n", 3,
+     "option 'M' is not read by kind 'weights-dump'"),
+    ("solve", "N = 8\nM = 4\nN = 8\n", 3, "key 'N' given twice"),
+    ("solve", "T = 1\nN = eight\n", 2, "bad value for 'N'"),
+    ("convergence-time", "N = 8\nformat = yaml\n", 2,
+     "bad value for 'format': 'yaml' is not one of ('csv', 'markdown')"),
+]
+
+
+@pytest.mark.parametrize("kind,text,line,reason", CONFIG_ERRORS,
+                         ids=["unknown", "not-read", "twice", "type",
+                              "choices"])
+def test_config_file_errors_name_their_line(tmp_path, capsys, kind, text,
+                                            line, reason):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"msd: invalid input: {cfg}:{line}: {reason}"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_may_start_with_a_bom(tmp_path):
+    # a spreadsheet's "UTF-8" text export starts with a byte-order mark
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffN = 8\nM = 4\n", encoding="utf-8")
+    outputs = []
+    for argv in (["--config", str(cfg)], ["--N", "8", "--M", "4"]):
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--out", str(out)] + argv) == 0, argv
+        outputs.append(out.read_bytes())
+        out.unlink()
+    assert outputs[0] == outputs[1]
 
 
 def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):

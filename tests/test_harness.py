@@ -9,9 +9,9 @@ import pytest
 from msdiff.cli import main
 from msdiff.errors import ValidationError
 from msdiff.harness import (ExperimentConfig, RateRow, RateTable,
-                            build_experiment, emit_comparison_csv,
-                            emit_solution_csv, emit_table, emit_weights_csv,
-                            format_sig5, load_config_file, parse_rate_table,
+                            emit_comparison_csv, emit_solution_csv,
+                            emit_table, emit_weights_csv, format_sig5,
+                            load_config_file, parse_rate_table,
                             run_convergence_space, run_convergence_time)
 from msdiff.reference import ComparisonSeries
 from msdiff.weights import assemble_weights
@@ -222,20 +222,31 @@ def test_config_file_loading_and_overrides(tmp_path):
         "M = 8\n"
         "levels = 2\n"
         "format = markdown\n")
-    values = load_config_file(str(cfg_file))
+    values = load_config_file(str(cfg_file), "convergence-time")
     assert values["exponent"] == "exp-example2"
     assert values["n_steps"] == 32
     assert values["fmt"] == "markdown"
-    cfg = build_experiment("convergence-time", values, {"n_steps": 64})
-    assert cfg.n_steps == 64          # CLI override wins
-    assert cfg.exponent == "exp-example2"
+
+    # flags override the file, and the file fills in every other option
+    out = tmp_path / "table.out"
+    argv = ["convergence-time", "--config", str(cfg_file), "--out", str(out)]
+    assert main(argv) == 0
+    text = out.read_text()
+    assert text.startswith("Self-convergence (convergence-time), exponent "
+                           "exp-example2, u0 poly-x2-1mx2, M=8.")
+    assert "| 32 |" in text and "| 64 |" in text and "| 128 |" not in text
+    assert main(argv + ["--N", "64", "--format", "csv"]) == 0
+    table = parse_rate_table(out.read_text())
+    assert [r.param for r in table.rows] == [64, 128]
+    assert (table.exponent, table.u0, table.fixed) == (
+        "exp-example2", "poly-x2-1mx2", "M=8")
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 3\n")
     with pytest.raises(ValidationError):
-        load_config_file(str(bad))
+        load_config_file(str(bad), "solve")
     with pytest.raises(ValidationError):
-        load_config_file(str(tmp_path / "missing.cfg"))
+        load_config_file(str(tmp_path / "missing.cfg"), "solve")
 
 
 def test_cli_convergence_run_writes_csv(tmp_path):
@@ -304,6 +315,24 @@ def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):
     err = capsys.readouterr().err
     assert "msd: invalid input" in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,rows", [
+    (["--exponent", "table", "--exponent-table"],
+     "0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n"),
+    (["--u0", "custom-table", "--u0-table"],
+     "0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n"),
+], ids=["exponent-table", "u0-table"])
+def test_cli_reads_a_table_that_starts_with_a_bom(tmp_path, flags, rows):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    outputs = []
+    for name, text in (("plain.csv", rows), ("bom.csv", "\ufeff" + rows)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / (name + ".out")
+        assert main(["solve", "--N", "8", "--M", "4", "--out", str(out)]
+                    + flags + [str(tmp_path / name)]) == 0, name
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_table_ends_are_judged_relative_to_the_data(tmp_path, capsys):
