@@ -4,13 +4,14 @@
         [--config FILE] [--KEY VALUE ...]
 
 Each subcommand takes exactly the flags of the options its kind reads
-(`harness.OPTIONS`); the flag of config key `alpha_end` is
-`--alpha-end`.  Config files are flat 'key = value' text with the same
-keys, each at most once, and a flag overrides the file.  A flag or key
-the kind does not read is invalid input; a config error names its line.
-The parser is built once per process, on the first call of `main`, and
-every later call parses with it.  Exit codes: 0 success, 2 invalid
-input, 3 solver failure (including running out of memory).
+(`harness.OPTIONS`); `--exponent` and `--u0` take a profile name or a
+CSV table path.  Config files are flat 'key = value' text with the same
+keys (`alpha_end` is `--alpha-end`).  A flag or key may be given once,
+and a flag overrides the file; `Option.parse` checks each value, and an
+error names the flag or the file's line.  A flag or key the kind does
+not read is invalid input, as is `alpha_end` outside figure1 and
+exp-figure1.  The parser is built once per process.  Exit codes: 0
+success, 2 invalid input, 3 solver failure (including out of memory).
 """
 
 import argparse
@@ -36,16 +37,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", help="flat key = value config file")
         for opt in options_for(kind):
-            p.add_argument(opt.flag, dest=opt.field, type=opt.type,
-                           choices=opt.choices, help=opt.help)
+            p.add_argument(opt.flag, dest=opt.field, action="append",
+                           help=opt.help)
     return parser
 
 
 def _run(args) -> tuple:
     values = load_config_file(args.config, args.kind) if args.config else {}
-    values.update({opt.field: getattr(args, opt.field)
-                   for opt in options_for(args.kind)
-                   if getattr(args, opt.field) is not None})
+    for opt in options_for(args.kind):
+        given = getattr(args, opt.field) or ()
+        if len(given) > 1:  # as a repeated config key is
+            raise ValidationError(f"{opt.flag} given twice")
+        if given:
+            values[opt.field] = opt.parse(given[0], opt.flag)
+    if "alpha_end" in values and args.kind != "figure1" \
+            and values.get("exponent") != "exp-figure1":
+        raise ValidationError("alpha_end (--alpha-end) has an effect only on "
+                              "figure1 and on --exponent exp-figure1")
     cfg = ExperimentConfig(args.kind, **values)
     if cfg.kind == "convergence-time":
         return emit_table(run_convergence_time(cfg), cfg.fmt), cfg.out
@@ -60,9 +68,8 @@ def _run(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        text, out = _run(args)
+        text, out = _run(_build_parser().parse_args(argv))
         write_text(text, out)
     except ValidationError as err:
         print(f"msd: invalid input: {err}", file=sys.stderr)

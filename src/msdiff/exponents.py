@@ -18,7 +18,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -282,12 +282,12 @@ def tabulated_exponent(times, values, name: str = "table") -> VariableExponent:
     times = np.asarray(times, float)
     values = np.asarray(values, float)
     if times.ndim != 1 or times.size < 4 or values.shape != times.shape:
-        raise ValidationError("need at least 4 samples for a cubic exponent, "
-                              "one value per time")
+        raise ValidationError(f"{name}: need at least 4 samples for a cubic "
+                              "exponent, one value per time")
     if times[0] != 0.0 or abs(values[0]) > _ALPHA_AT_ZERO_TOL:
-        raise ValidationError("exponent samples must start at (0, 0)")
+        raise ValidationError(f"{name}: exponent samples must start at (0, 0)")
 
-    spline = cubic_spline(times, values, f"exponent {name!r}")
+    spline = cubic_spline(times, values, name)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
 
@@ -392,30 +392,27 @@ def read_table_csv(path: str, columns: str) -> np.ndarray:
     return data
 
 
-def exponent_by_name(name: str, T: float, alpha_end: float = 0.4,
-                     table_path: Optional[str] = None) -> VariableExponent:
-    """Build one of the named profiles used by the CLI."""
-    if name == "exp-example1":
-        return example_exponent_1(T)
-    if name == "exp-example2":
-        return example_exponent_2(T)
-    if name == "exp-figure1":
-        return figure_transition_exponent(T, alpha_end)
-    if name == "zero":
-        return zero_exponent()
-    if name == "table":
-        if table_path is None:
-            raise ValidationError("profile 'table' needs an exponent-table file")
-        data = read_table_csv(table_path, "t,alpha")
-        try:
-            exp = tabulated_exponent(data[:, 0], data[:, 1])
-        except ValidationError as err:
-            raise ValidationError(f"{table_path}: {err}") from err
-        last = float(data[-1, 0])
-        if T > last:
-            raise ValidationError(
-                f"{table_path}: the last exponent sample is at t = {last}, "
-                f"before the final time T = {T}; the spline would "
-                "extrapolate")
-        return exp
-    raise ValidationError(f"unknown exponent profile {name!r}")
+# name -> builder (T, alpha_end) of the built-in profiles
+EXPONENTS = {
+    "exp-example1": lambda T, alpha_end: example_exponent_1(T),
+    "exp-example2": lambda T, alpha_end: example_exponent_2(T),
+    "exp-figure1": figure_transition_exponent,
+    "zero": lambda T, alpha_end: zero_exponent(),
+}
+
+
+def exponent_by_name(name: str, T: float,
+                     alpha_end: float = 0.4) -> VariableExponent:
+    """A built-in profile of EXPONENTS, or else the spline through the
+    t,alpha table at the path name, which must reach the final time T."""
+    if name in EXPONENTS:
+        return EXPONENTS[name](T, alpha_end)
+    data = read_table_csv(name, "t,alpha")
+    exp = tabulated_exponent(data[:, 0], data[:, 1], name)
+    last = float(data[-1, 0])
+    if T > last:
+        raise ValidationError(
+            f"{name}: the last exponent sample is at t = {last}, "
+            f"before the final time T = {T}; the spline would "
+            "extrapolate")
+    return exp

@@ -15,44 +15,85 @@ used in the reference tables.
 """
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .exponents import (VariableExponent, cubic_spline, exponent_by_name,
-                        read_table_csv, validate_assumption_a)
+from .exponents import (EXPONENTS, VariableExponent, cubic_spline,
+                        exponent_by_name, read_table_csv,
+                        validate_assumption_a)
 from .fem import Mesh1D, discrete_l2_norm, end_tolerance
-from .reference import ComparisonSeries, figure_transition_profiles
+from .reference import (ComparisonSeries, figure_transition_profiles,
+                        sin_pi)
 from .stepper import SolverConfig, solve, solve_ladder
 from .weights import assemble_weights
 
 KINDS = ("solve", "convergence-time", "convergence-space", "figure1",
          "weights-dump")
 FORMATS = ("csv", "markdown")
-U0_NAMES = ("sin-pi", "poly-x2-1mx2", "custom-table")
+
+
+def _poly_x2_1mx2(x):
+    x = np.asarray(x, float)
+    return x * x * (1.0 - x) ** 2
+
+
+INITIAL_DATA = {"sin-pi": sin_pi, "poly-x2-1mx2": _poly_x2_1mx2}
+
+
+def _checked(convert, admits, reason: str):
+    """Option check: convert(value), refused for reason unless admitted."""
+    def check(value):
+        value = convert(value)
+        if not admits(value):
+            raise ValueError(f"{value!r} {reason}")
+        return value
+    return check
+
+
+def _integer(value) -> int:
+    """int of a decimal string or of an integer (8.5 is not truncated)."""
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
+def _positive(convert):
+    return _checked(convert, lambda v: 0 < v < math.inf, "is not in (0, inf)")
+
+
+def _profile(names):
+    return _checked(str, lambda v: v in names or os.path.isfile(v),
+                    f"is neither a built-in profile ({', '.join(names)}) "
+                    "nor a file")
 
 
 @dataclass(frozen=True)
 class Option:
-    """One run setting, declared once for config files and CLI flags.
-
-    key is the config-file key; the flag is '--' + key with '_' turned
-    into '-'.  field is the ExperimentConfig attribute it sets and kinds
-    the experiment kinds that read it; any other kind rejects it.
-    """
+    """One run setting, declared once for config files, CLI flags and
+    ExperimentConfig.  key is the config-file key, and the flag is '--'
+    + key with '_' turned into '-'.  check converts a value of the
+    ExperimentConfig field or raises ValueError or TypeError, and kinds
+    are the experiment kinds that read it; any other kind rejects it."""
 
     key: str
     field: str
-    type: type
+    check: Callable
     help: str
     kinds: tuple = KINDS
-    choices: Optional[tuple] = None
 
     @property
     def flag(self) -> str:
         return "--" + self.key.replace("_", "-")
+
+    def parse(self, value, name: str):
+        """check(value), or ValidationError naming the option as name."""
+        try:
+            return self.check(value)
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"bad value for {name!r}: {err}") from err
 
 
 _STUDIES = ("convergence-time", "convergence-space")
@@ -60,24 +101,24 @@ _EXPONENT_READERS = ("solve",) + _STUDIES + ("weights-dump",)
 _DATA_READERS = ("solve",) + _STUDIES + ("figure1",)
 
 OPTIONS = (
-    Option("exponent", "exponent", str,
-           "exp-example1|exp-example2|exp-figure1|zero|table",
+    Option("exponent", "exponent", _profile(EXPONENTS),
+           f"{'|'.join(EXPONENTS)}, or a CSV file of t,alpha samples",
            _EXPONENT_READERS),
     Option("alpha_end", "alpha_end", float,
-           "terminal exponent of exp-figure1 / constant order"),
-    Option("exponent_table", "exponent_table", str,
-           "CSV of t,alpha samples for the 'table' profile",
-           _EXPONENT_READERS),
-    Option("u0", "u0", str, "|".join(U0_NAMES), _DATA_READERS),
-    Option("u0_table", "u0_table", str,
-           "CSV of x,value samples for custom-table", _DATA_READERS),
-    Option("T", "T", float, "final time"),
-    Option("N", "n_steps", int, "time steps"),
-    Option("M", "m_cells", int, "mesh cells", _DATA_READERS),
-    Option("levels", "levels", int,
+           "terminal exponent of exp-figure1 / constant order of figure1"),
+    Option("u0", "u0", _profile(INITIAL_DATA),
+           f"{'|'.join(INITIAL_DATA)}, or a CSV file of x,value samples",
+           _DATA_READERS),
+    Option("T", "T", _positive(float), "final time"),
+    Option("N", "n_steps", _positive(_integer), "time steps"),
+    Option("M", "m_cells", _positive(_integer), "mesh cells", _DATA_READERS),
+    Option("levels", "levels", _checked(_integer, lambda v: v >= 2,
+                                        "is fewer than the 2 a study needs"),
            "refinement levels of a convergence study", _STUDIES),
     Option("out", "out", str, "output path (stdout when omitted)"),
-    Option("format", "fmt", str, "output format", _STUDIES, FORMATS),
+    Option("format", "fmt",
+           _checked(str, FORMATS.__contains__, f"is not one of {FORMATS}"),
+           "output format", _STUDIES),
 )
 
 
@@ -88,14 +129,13 @@ def options_for(kind: str) -> tuple:
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one CLI run."""
+    """Declarative description of one CLI run; every field but kind is
+    checked by its row of OPTIONS."""
 
     kind: str
     exponent: str = "exp-example1"
     alpha_end: float = 0.4
-    exponent_table: Optional[str] = None
     u0: str = "sin-pi"
-    u0_table: Optional[str] = None
     T: float = 1.0
     n_steps: int = 128
     m_cells: int = 32
@@ -106,37 +146,22 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        if self.fmt not in FORMATS:
-            raise ValidationError(f"unknown output format {self.fmt!r}")
-        if self.u0 not in U0_NAMES:
-            raise ValidationError(f"unknown initial profile {self.u0!r}")
-        for label, value in (("T", self.T), ("N", self.n_steps),
-                             ("M", self.m_cells), ("levels", self.levels)):
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{label} = {value} is not in (0, inf)")
-        if self.kind in _STUDIES and self.levels < 2:
-            raise ValidationError(
-                f"convergence studies need at least 2 levels, got {self.levels}")
+        for opt in OPTIONS:
+            value = getattr(self, opt.field)
+            if value is not None:
+                setattr(self, opt.field, opt.parse(value, opt.field))
 
     def build_exponent(self) -> VariableExponent:
-        return exponent_by_name(self.exponent, self.T, self.alpha_end,
-                                self.exponent_table)
+        return exponent_by_name(self.exponent, self.T, self.alpha_end)
 
     def build_initial(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.u0 == "sin-pi":
-            return lambda x: np.sin(math.pi * np.asarray(x, float))
-        if self.u0 == "poly-x2-1mx2":
-            def poly(x):
-                x = np.asarray(x, float)
-                return x * x * (1.0 - x) ** 2
-            return poly
-        if self.u0_table is None:
-            raise ValidationError("this run needs --u0-table")
-        data = read_table_csv(self.u0_table, "x,value")
+        if self.u0 in INITIAL_DATA:
+            return INITIAL_DATA[self.u0]
+        data = read_table_csv(self.u0, "x,value")
         if np.abs(data[[0, -1], 1]).max() > end_tolerance(data[1:-1, 1]):
             raise ValidationError(
-                f"{self.u0_table}: sampled initial data must vanish at the ends")
-        return cubic_spline(data[:, 0], data[:, 1], self.u0_table)
+                f"{self.u0}: sampled initial data must vanish at the ends")
+        return cubic_spline(data[:, 0], data[:, 1], self.u0)
 
 
 @dataclass(frozen=True)
@@ -336,7 +361,8 @@ def emit_weights_csv(cfg: ExperimentConfig) -> str:
 def load_config_file(path: str, kind: str) -> dict:
     """ExperimentConfig fields of a flat 'key = value' file; '#' starts a
     comment and a leading BOM is skipped.  A key may appear once, if runs
-    of this kind read it, and each error names its line."""
+    of this kind read it, with a value its option admits; each error
+    names its line."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -361,12 +387,9 @@ def load_config_file(path: str, kind: str) -> dict:
         if opt.field in values:
             raise ValidationError(f"{where}: key {key!r} given twice")
         try:
-            values[opt.field] = opt.type(value)
-            if opt.choices and values[opt.field] not in opt.choices:
-                raise ValueError(f"{value!r} is not one of {opt.choices}")
-        except ValueError as err:
-            raise ValidationError(
-                f"{where}: bad value for {key!r}: {err}") from err
+            values[opt.field] = opt.parse(value, key)
+        except ValidationError as err:
+            raise ValidationError(f"{where}: {err}") from err
     return values
 
 

@@ -11,11 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msdiff.cli import _build_parser, main
-from msdiff.harness import KINDS, OPTIONS, options_for
+from msdiff.errors import ValidationError
+from msdiff.harness import KINDS, OPTIONS, ExperimentConfig, options_for
 
 _EVERY_KIND = {"--alpha-end", "--T", "--N", "--out"}
-_EXPONENT = {"--exponent", "--exponent-table"}
-_DATA = {"--u0", "--u0-table", "--M"}
+_EXPONENT = {"--exponent"}
+_DATA = {"--u0", "--M"}
 _STUDY = {"--levels", "--format"}
 
 # the flags each kind reads, written out independently of harness.OPTIONS
@@ -30,9 +31,7 @@ EXPECTED_FLAGS = {
 # (kind, config key, value): every option a kind does not read
 DROPPED_PAIRS = [
     ("figure1", "exponent", "zero"),
-    ("figure1", "exponent_table", "alpha.csv"),
     ("weights-dump", "u0", "custom-table"),
-    ("weights-dump", "u0_table", "u0.csv"),
     ("weights-dump", "M", "1"),
     ("solve", "levels", "7"),
     ("solve", "format", "markdown"),
@@ -154,6 +153,70 @@ def test_config_file_errors_name_their_line(tmp_path, capsys, kind, text,
     assert not out.exists()
 
 
+# (config key, value): inadmissible values, each refused by its option's
+# check as a flag, as a config line and as an ExperimentConfig field
+BAD_VALUES = [("N", "0"), ("M", "0"), ("T", "-1"), ("levels", "1"),
+              ("format", "yaml"), ("exponent", "mystery"),
+              ("u0", "gaussian"), ("exponent", "missing.csv"),
+              ("u0", "missing.csv")]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES,
+                         ids=[f"{key}={value}" for key, value in BAD_VALUES])
+def test_a_bad_value_is_refused_wherever_it_enters(tmp_path, monkeypatch,
+                                                   capsys, key, value):
+    monkeypatch.chdir(tmp_path)  # missing.csv is a relative path
+    opt = next(o for o in OPTIONS if o.key == key)
+    out = ["--out", "out.csv"]
+    assert main(["convergence-time", opt.flag, value] + out) == 2
+    assert capsys.readouterr().err.startswith(
+        f"msd: invalid input: bad value for {opt.flag!r}: ")
+
+    (tmp_path / "run.cfg").write_text(f"# line 1\n{key} = {value}\n")
+    assert main(["convergence-time", "--config", "run.cfg"] + out) == 2
+    assert capsys.readouterr().err.startswith(
+        f"msd: invalid input: run.cfg:2: bad value for {key!r}: ")
+    assert not (tmp_path / "out.csv").exists()
+
+    with pytest.raises(ValidationError,
+                       match=f"^bad value for {opt.field!r}: "):
+        ExperimentConfig("convergence-time", **{opt.field: value})
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["weights-dump", "--N", "2", "--N", "3"], "--N"),
+    (["solve", "--exponent", "zero", "--M", "4", "--exponent", "zero"],
+     "--exponent"),
+], ids=["N", "exponent"])
+def test_a_flag_given_twice_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"msd: invalid input: {flag} given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["figure1", "--T", "2", "--M", "4"], 0),
+    (["solve", "--exponent", "exp-figure1", "--M", "4"], 0),
+    (["weights-dump", "--exponent", "exp-figure1"], 0),
+    (["solve", "--M", "4"], 2),
+    (["convergence-time", "--exponent", "zero", "--M", "4", "--levels", "2"],
+     2),
+    (["weights-dump", "--exponent", "exp-example2"], 2),
+], ids=["figure1", "solve-figure1", "weights-figure1", "solve", "study",
+        "weights"])
+def test_alpha_end_is_refused_where_it_has_no_effect(tmp_path, capsys, argv,
+                                                     code):
+    (tmp_path / "run.cfg").write_text("alpha_end = 0.6\n")
+    argv += ["--N", "8", "--out", str(tmp_path / "out.csv")]
+    assert main(argv + ["--alpha-end", "0.6"]) == code
+    assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == code
+    refusals = capsys.readouterr().err.count(
+        "alpha_end (--alpha-end) has an effect only on figure1")
+    assert refusals == (2 if code else 0)  # by flag and by config line
+
+
 def test_config_file_may_start_with_a_bom(tmp_path):
     # a spreadsheet's "UTF-8" text export starts with a byte-order mark
     cfg = tmp_path / "run.cfg"
@@ -204,8 +267,7 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
      None, 3, "implicit memory coefficient -0.474"),
     ([], "N 8\n", 2, "expected 'key = value'"),
     ([], "N = eight\n", 2, "bad value for 'N'"),
-    (["--u0", "custom-table"], None, 2, "this run needs --u0-table"),
-], ids=["step-too-long", "config-no-equals", "config-bad-int", "no-u0-table"])
+], ids=["step-too-long", "config-no-equals", "config-bad-int"])
 def test_failed_solve_names_its_reason(tmp_path, capsys, args, config, code,
                                        reason):
     argv = ["solve", "--out", str(tmp_path / "out.csv")] + args
@@ -235,9 +297,8 @@ runs = [["solve", "--exponent", "exp-figure1"] + small,
         ["convergence-space", "--levels", "2"] + small,
         ["figure1", "--T", "2"] + small,
         ["weights-dump", "--exponent", "zero", "--N", "8"],
-        ["solve", "--exponent", "table", "--exponent-table", sys.argv[2],
-         "--T", "1"] + small,
-        ["solve", "--u0", "custom-table", "--u0-table", sys.argv[3]] + small]
+        ["solve", "--exponent", sys.argv[2], "--T", "1"] + small,
+        ["solve", "--u0", sys.argv[3]] + small]
 for argv in runs:
     assert main(argv + out) == 0, argv
 print(",".join(sorted({name.split(".")[0] for name in sys.modules})))
@@ -299,13 +360,11 @@ def _values(key, tables, tmp_path):
         return st.integers(-2, sizes[key]).map(str)
     return {
         "exponent": st.sampled_from(["exp-example1", "exp-example2",
-                                     "exp-figure1", "zero", "table",
-                                     "mystery"]),
+                                     "exp-figure1", "zero", "mystery"]
+                                    + tables),
         "alpha_end": st.sampled_from(["0.4", "0.9", "0", "1", "-0.5"]),
-        "exponent_table": st.sampled_from(tables),
-        "u0": st.sampled_from(["sin-pi", "poly-x2-1mx2", "custom-table",
-                               "gaussian"]),
-        "u0_table": st.sampled_from(tables),
+        "u0": st.sampled_from(["sin-pi", "poly-x2-1mx2", "gaussian"]
+                              + tables),
         "T": st.sampled_from(["1", "0.5", "8", "0", "-1"]),
         "out": st.sampled_from([str(tmp_path / "out.csv"),
                                 str(tmp_path / "no-dir" / "out.csv")]),

@@ -155,16 +155,15 @@ def test_tabulated_exponent_rejects_bad_samples():
         tabulated_exponent([0.0, 0.5, 0.25, 1.0], [0.0, 0.1, 0.2, 0.3])
 
 
-def test_exponent_registry_names():
+def test_exponent_registry_names(tmp_path):
     for name in ("exp-example1", "exp-example2", "zero"):
         exp = exponent_by_name(name, 1.0)
         assert exp.name == name
     exp = exponent_by_name("exp-figure1", 8.0, alpha_end=0.4)
     assert float(exp.alpha(8.0)) == pytest.approx(0.4)
-    with pytest.raises(ValidationError):
-        exponent_by_name("nope", 1.0)
-    with pytest.raises(ValidationError):
-        exponent_by_name("table", 1.0)  # missing sample file
+    # any other name is the path of a sample file
+    with pytest.raises(ValidationError, match="cannot read table"):
+        exponent_by_name(str(tmp_path / "nope"), 1.0)
 
 
 def test_tabulated_exponent_with_knots_around_a_sample_validates():

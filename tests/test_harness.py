@@ -293,10 +293,7 @@ def test_cli_validation_failure_exits_2(capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--exponent", "table", "--exponent-table"],
-    ["--u0", "custom-table", "--u0-table"],
-])
+@pytest.mark.parametrize("flags", [["--exponent"], ["--u0"]])
 @pytest.mark.parametrize("content", [
     None,
     "t,alpha\n0,zero\n",
@@ -318,9 +315,8 @@ def test_cli_unreadable_table_exits_2(tmp_path, capsys, flags, content):
 
 
 @pytest.mark.parametrize("flags,rows", [
-    (["--exponent", "table", "--exponent-table"],
-     "0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n"),
-    (["--u0", "custom-table", "--u0-table"],
+    (["--exponent"], "0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n"),
+    (["--u0"],
      "0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n"),
 ], ids=["exponent-table", "u0-table"])
 def test_cli_reads_a_table_that_starts_with_a_bom(tmp_path, flags, rows):
@@ -339,7 +335,7 @@ def test_cli_table_ends_are_judged_relative_to_the_data(tmp_path, capsys):
     # 1e6 sin(pi x) with exact zeros at the ends: its spline reads
     # 1.8e-12 at x = 1, far below 1e-12 times the data
     path = tmp_path / "u0.csv"
-    args = ["solve", "--u0", "custom-table", "--u0-table", str(path),
+    args = ["solve", "--u0", str(path),
             "--N", "8", "--M", "4", "--out", str(tmp_path / "out.csv")]
     for end, code in ((0.0, 0), (1e-7, 0), (1e-5, 2)):
         values = [1e6 * math.sin(math.pi * i / 10) for i in range(11)]
@@ -364,8 +360,7 @@ def test_cli_table_ending_before_final_time_exits_2(tmp_path, capsys):
     path = tmp_path / "alpha.csv"
     path.write_text("".join(f"{t},{0.3 * t}\n" for t in (0.0, 0.25, 0.5,
                                                           0.75, 1.0)))
-    args = ["solve", "--exponent", "table", "--exponent-table", str(path),
-            "--N", "8", "--M", "4"]
+    args = ["solve", "--exponent", str(path), "--N", "8", "--M", "4"]
     assert main(args + ["--T", "1"]) == 0
     capsys.readouterr()
     assert main(args + ["--T", "3"]) == 2
