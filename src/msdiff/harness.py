@@ -287,6 +287,10 @@ def emit_table(table: RateTable, fmt: str) -> str:
         raise ValidationError("refusing to emit an empty table")
     if fmt == "csv":
         head = [f"# {key}={getattr(table, field)}" for key, field in _HEADER]
+        for line in head:
+            if "".join(line.splitlines()) != line:
+                raise ValidationError(f"table header value {line[2:]!r} "
+                                      "holds a line break")
         return _csv("\n".join(head + ["level,param,error,rate"]), *zip(*(
             (r.level, r.param, r.error, "*" if r.rate is None
              else repr(float(r.rate))) for r in table.rows)))
@@ -310,15 +314,19 @@ def parse_rate_table(text: str) -> RateTable:
     """Inverse of emit_table(..., 'csv')."""
     meta = {}
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             meta[key] = value
         elif line and line != "level,param,error,rate":
-            level, param, error, rate = line.split(",")
-            rows.append(RateRow(level=int(level), param=int(param),
-                                error=float(error),
-                                rate=None if rate == "*" else float(rate)))
+            try:
+                level, param, error, rate = line.split(",")
+                rows.append(RateRow(level=int(level), param=int(param),
+                                    error=float(error),
+                                    rate=None if rate == "*" else float(rate)))
+            except ValueError as err:
+                raise ValidationError(
+                    f"malformed table row {number}: {line!r}") from err
     try:
         return RateTable(rows=tuple(rows),
                          **{field: meta[key] for key, field in _HEADER})

@@ -286,6 +286,19 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     assert f"msd: invalid input: cannot write {out}" in capsys.readouterr().err
 
 
+def test_table_path_with_a_line_break_exits_2(tmp_path, capsys):
+    # a CSV rate table names its exponent on one header line, so a path
+    # holding a line break could not be read back
+    alpha = tmp_path / "a\nb.csv"
+    alpha.write_text("0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n")
+    out = tmp_path / "time.csv"
+    assert main(["convergence-time", "--exponent", str(alpha), "--T", "1",
+                 "--N", "8", "--M", "4", "--levels", "2", "--format", "csv",
+                 "--out", str(out)]) == 2
+    assert "holds a line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _WITHOUT_SCIPY = """
 import sys
 from msdiff.cli import main

@@ -205,6 +205,25 @@ def test_table_formatting_refuses_what_it_cannot_render():
         parse_rate_table(text)
 
 
+@pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv", "a.csv\r\n",
+                                  "a\u2028b.csv"])
+def test_csv_refuses_a_header_value_with_a_line_break(name):
+    table = dataclasses.replace(_toy_table(), exponent=name)
+    with pytest.raises(ValidationError, match="holds a line break"):
+        emit_table(table, "csv")
+
+
+@pytest.mark.parametrize("row", ["0,128,1e-4", "0,128,1e-4,*,5",
+                                 "x,128,1e-4,*", "0,128,small,*",
+                                 "0,1.5,1e-4,*"])
+def test_rate_table_refuses_a_row_it_cannot_read(row):
+    lines = emit_table(_toy_table(), "csv").splitlines()
+    lines[-1] = row
+    with pytest.raises(ValidationError,
+                       match=f"malformed table row {len(lines)}"):
+        parse_rate_table("\n".join(lines))
+
+
 def test_identical_configs_give_byte_identical_output():
     a = emit_table(run_convergence_time(small_time_cfg()), "csv")
     b = emit_table(run_convergence_time(small_time_cfg()), "csv")

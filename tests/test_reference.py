@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msdiff.errors import ValidationError
-from msdiff.exponents import zero_exponent
+from msdiff.errors import SolverError, ValidationError
+from msdiff.exponents import figure_transition_exponent, zero_exponent
 from msdiff.fem import Mesh1D, discrete_l2_norm
 from msdiff.reference import (cq_weights, constant_subdiffusion_solve,
-                              figure_transition_profiles, heat_solve)
-from msdiff.stepper import SolverConfig, solve
+                              figure_transition_profiles, heat_solve, sin_pi)
+from msdiff.stepper import SolverConfig, sample_series, solve
 
 from conftest import u0_sine
 
@@ -118,4 +118,61 @@ def test_transition_profiles_hold_one_history_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6, peak
+    # one odd-mode history: 1.01 MB measured, against 1.68 MB when every
+    # mode marched
+    assert peak < 1.3e6, peak
+
+
+def _full_march_series(T, alpha_end, n_steps, m_cells, initial):
+    """(multiscale, heat, subdiffusion) u(1/2, t_n) from full marches."""
+    config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
+                          exponent=figure_transition_exponent(T, alpha_end),
+                          initial=initial)
+    runs = (solve, heat_solve,
+            lambda c: constant_subdiffusion_solve(c, alpha_end))
+    return [sample_series(run(config), 0.5) for run in runs]
+
+
+def _skewed(x):
+    return x * (1.0 - x) ** 2
+
+
+@pytest.mark.parametrize("initial", [sin_pi, _skewed])
+@pytest.mark.parametrize("m_cells", [2, 3, 8, 33, 128])
+def test_figure_series_match_full_march_at_midpoint(m_cells, initial):
+    # the figure marches only the odd sine modes; odd M puts x = 1/2
+    # mid-cell, and the skewed data gives the even modes weight
+    args = dict(T=8.0, alpha_end=0.4, n_steps=100, m_cells=m_cells,
+                initial=initial)
+    series = figure_transition_profiles(**args)
+    got = (series.multiscale, series.heat, series.subdiffusion)
+    for fast, full in zip(got, _full_march_series(**args)):
+        assert np.abs(fast - full).max() <= 1e-15 * np.abs(full).max()
+
+
+def test_figure_fails_in_the_block_the_full_march_names():
+    # the constant-order run of this data overflows in its first block
+    args = dict(T=8.0, alpha_end=0.4, n_steps=100, m_cells=33,
+                initial=lambda x: 1e307 * sin_pi(x))
+    with pytest.raises(SolverError) as full:
+        _full_march_series(**args)
+    assert "steps 1..32" in str(full.value)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError) as fast:
+        figure_transition_profiles(**args)
+    assert str(fast.value) == str(full.value)
+
+
+def test_figure_runs_when_only_even_modes_overflow():
+    # sin(2 pi x) vanishes at 1/2; its dst1 coefficient overflows, so
+    # the full march fails, while the odd modes the figure marches stay
+    # at the data's rounding level
+    initial = lambda x: 2e307 * np.sin(2.0 * math.pi * np.asarray(x, float))
+    config = SolverConfig(T=8.0, n_steps=40, mesh=Mesh1D(33),
+                          exponent=zero_exponent(), initial=initial)
+    with pytest.raises(SolverError, match="sine coefficients"):
+        heat_solve(config)
+    series = figure_transition_profiles(T=8.0, alpha_end=0.4, n_steps=40,
+                                        m_cells=33, initial=initial)
+    for values in (series.heat, series.multiscale, series.subdiffusion):
+        assert np.all(np.abs(values) <= 1e-12 * 2e307)
