@@ -53,15 +53,28 @@ one set.  A mesh is judged once, by row N, which any non-finite value
 reaches (decay > 0 carries it on, and so do the half-block products): it
 drops out alone, and SolverError, naming a block of steps, comes once
 none is left.  A run stays in the sine basis; `SolutionHistory` and the
-samplers transform back only what is read.  A run read only at x = 1/2,
-as each run of the transition figure is (`_midpoint_series`), marches
-only the odd modes k = 1, 3, 5, ...: an even mode sin(k pi x) is odd
-about 1/2, so its P1 interpolant is 0 there on every uniform mesh, and
-marching it would double the solves, the history product and the
-history memory without changing the series.
+samplers transform back only what is read.
+
+Two rules march only the odd modes k = 1, 3, 5, ..., halving the
+solves, the history product and the history memory.  An even mode
+sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
+
+- a run read only at x = 1/2, as each run of the transition figure is
+  (`_midpoint_series`), does not need it: its P1 interpolant is 0
+  there;
+- a run with no source whose nodal U_0 is exactly symmetric (every
+  config of a ladder's march) starts it at zero, and modes never mix,
+  so it stays zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2
+  use, is symmetric bit for bit on M = 2^k cells.  Its history holds
+  the odd columns only, and `SolutionHistory` fills in the zeros when
+  it transforms back.
+
+The modes are picked by parity, never by testing coefficients for
+zero: dst1 leaves an even coefficient of symmetric data at rounding
+level.  A run that marched only its odd modes is judged on them alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -111,14 +124,18 @@ class SolverConfig:
 class SolutionHistory:
     """Snapshots U_0..U_N of a run: rows dst1(U_n) of `coefficients`.
 
+    `coefficients` holds the dst1 columns `modes` of each row (column
+    k - 1 is mode k); a mode that did not march, as no even mode of a
+    symmetric run does (module doc), is zero and is not stored.
     `initial` is U_0, the exact Ritz projection.  `final` transforms one
-    row back to nodal values; the first read of `snapshots` allocates a
-    second (N+1) x (M-1) array and keeps it.
+    row back to nodal values; the first read of `snapshots` allocates an
+    (N+1) x (M-1) array and keeps it.
     """
 
     config: SolverConfig
     coefficients: np.ndarray
     initial: np.ndarray
+    modes: slice = field(default_factory=lambda: slice(None))
 
     @property
     def n_steps(self) -> int:
@@ -130,7 +147,7 @@ class SolutionHistory:
     @cached_property
     def snapshots(self) -> np.ndarray:
         """Nodal U_0..U_N as rows, transformed B rows at a time."""
-        nodal = np.empty_like(self.coefficients)
+        nodal = np.empty((self.n_steps + 1, self.initial.size))
         nodal[0] = self.initial
         for lo in range(1, nodal.shape[0], _BLOCK_ROWS):
             rows = slice(lo, lo + _BLOCK_ROWS)
@@ -138,7 +155,10 @@ class SolutionHistory:
         return nodal
 
     def _nodal(self, coefficients: np.ndarray) -> np.ndarray:
-        return dst1(coefficients) * (2.0 / self.config.mesh.m_cells)
+        """Nodal values of rows that hold the columns `modes`."""
+        full = np.zeros((len(coefficients), self.initial.size))
+        full[:, self.modes] = coefficients
+        return dst1(full) * (2.0 / self.config.mesh.m_cells)
 
 
 class ModeSet(NamedTuple):
@@ -209,11 +229,11 @@ def solve_ladder(configs: list) -> list:
 
 # steps per block, B in the module doc; it also bounds the temporaries
 # of `SolutionHistory.snapshots`.  The dense half-block inverses hold
-# modes x (B/2)^2 floats: 0.26 MB at figure1's 127 modes, 1 MiB at Table
-# 2's 498.  In an in-process sweep (best of 25 marches), B = 16 ran
-# 7-40% slower than 32 on N = 128..2048 at M = 32 and 128; B = 64 ran
-# 14% faster to 6% slower there and 35-42% slower on Table 2's 498-mode
-# ladder, whose traced peak it raised from 1.5 to 4.8 MB (figure1: 1.7
+# modes x (B/2)^2 floats: 0.13 MB at figure1's 64 odd modes, 0.5 MiB at
+# Table 2's 252.  In an in-process sweep (best of 25 marches, all modes
+# marched), B = 16 ran 7-40% slower than 32 on N = 128..2048 at M = 32
+# and 128; B = 64 ran 14% faster to 6% slower there and 35-42% slower on
+# Table 2's 498-mode ladder, whose traced peak it raised from 1.5 to 4.8 MB (figure1: 1.7
 # to 2.8 MB), past the bounds of the tests.  One causal solve per 16-row
 # block, or np.linalg.inv for the inverses, ran slower (ROADMAP item 7).
 _BLOCK_ROWS = 32
@@ -221,15 +241,19 @@ _BLOCK_ROWS = 32
 
 def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
-                  modes: slice = slice(None)):
+                  odd_only: bool = False):
     """SolutionHistory of each config, None where its run failed: the
     configs share tau, N and source and march as one ModeSet (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    `modes` picks the dst1 columns of each mesh that march; a history
-    then holds only those, for _series to read."""
+    Only the odd modes march if `odd_only`, or if there is no source and
+    every nodal U_0 is exactly symmetric (module doc); each history
+    holds the columns that marched."""
     tau, source, N = configs[0].tau, configs[0].source, configs[0].n_steps
     initial = [ritz_projection(c.mesh, c.initial) for c in configs]
+    symmetric = source is None and all(np.array_equal(u, u[::-1])
+                                       for u in initial)
+    modes = _ODD_MODES if odd_only or symmetric else slice(None)
     lam_mass, lam_stiff = map(np.concatenate, zip(
         *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
     forcing = None if source is None else lambda lo, hi: np.hstack([dst1([
@@ -251,9 +275,9 @@ def _march_meshes(configs: list, implicit: float,
         lo = 1 + max(n - 1, 0) // _BLOCK_ROWS * _BLOCK_ROWS
         raise SolverError("non-finite solution values in steps "
                           f"{lo}..{min(lo + _BLOCK_ROWS - 1, N)}")
-    return [SolutionHistory(c, history[:, lo:hi], u) if ok else None
-            for c, u, lo, hi, ok in zip(configs, initial, edges, edges[1:],
-                                        alive)]
+    return [SolutionHistory(c, history[:, lo:hi], u, modes) if ok
+            else None for c, u, lo, hi, ok in zip(configs, initial, edges,
+                                                  edges[1:], alive)]
 
 
 def _march(modes: ModeSet, implicit: float,
@@ -364,15 +388,15 @@ def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
     return _series(history, x)
 
 
-def _series(history: SolutionHistory, x: float,
-            modes: slice = slice(None)) -> np.ndarray:
-    """sample_series of a history that holds the dst1 columns `modes`."""
+def _series(history: SolutionHistory, x: float) -> np.ndarray:
+    """sample_series without the check of x."""
     m = history.config.mesh.m_cells
     cell = min(int(x * m), m - 1)
     theta = x * m - cell
     nodal = np.zeros(m + 1)  # boundary nodes included
     nodal[cell:cell + 2] = 1.0 - theta, theta
-    series = history.coefficients @ history._nodal(nodal[1:-1])[modes]
+    weights = dst1(nodal[1:-1])[history.modes] * (2.0 / m)
+    series = history.coefficients @ weights
     series[0] = nodal[1:-1] @ history.initial
     return series
 
@@ -392,8 +416,8 @@ def _midpoint_series(config: SolverConfig, implicit: float,
     rounding level, not 0 (2.2e-18 at M = 100).  The run is judged on
     its odd modes alone.
     """
-    run = _march_meshes([config], implicit, memory, first, _ODD_MODES)[0]
-    return _series(run, 0.5, _ODD_MODES)
+    return _series(_march_meshes([config], implicit, memory, first,
+                                 odd_only=True)[0], 0.5)
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from msdiff.harness import (ExperimentConfig, RateRow, RateTable,
                             emit_comparison_csv, emit_solution_csv,
                             emit_table, emit_weights_csv, format_sig5,
                             load_config_file, parse_rate_table,
-                            run_convergence_space, run_convergence_time)
+                            run_convergence_space, run_convergence_time,
+                            write_text)
 from msdiff.reference import ComparisonSeries
 from msdiff.weights import assemble_weights
 
@@ -387,3 +390,32 @@ def test_cli_table_ending_before_final_time_exits_2(tmp_path, capsys):
     assert "msd: invalid input" in err
     assert "last exponent sample is at t = 1.0" in err and "extrapolate" in err
     assert "Traceback" not in err
+
+
+def test_out_overwritten_with_shorter_text_holds_only_it(tmp_path):
+    # an existing file is cut at the written length after the write,
+    # not truncated on open: no tail of the longer output may survive
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    assert main(["solve", "--N", "4", "--M", "8", "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    assert main(["solve", "--N", "4", "--M", "4", "--out", str(out)]) == 0
+    assert main(["solve", "--N", "4", "--M", "4", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_size < longer
+    write_text("a,b\n" * 1000, str(out))
+    write_text("t,u\n1,2\n", str(out))
+    assert out.read_bytes() == b"t,u\n1,2\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_write_text_to_a_named_pipe(tmp_path):
+    # a pipe cannot be truncated: only a regular file is cut
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_text("t,u\n1,2\n", str(pipe))
+    reader.join(timeout=30)
+    assert got == [b"t,u\n1,2\n"]

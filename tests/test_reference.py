@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -176,3 +177,22 @@ def test_figure_runs_when_only_even_modes_overflow():
                                         m_cells=33, initial=initial)
     for values in (series.heat, series.multiscale, series.subdiffusion):
         assert np.all(np.abs(values) <= 1e-12 * 2e307)
+
+
+def test_sin_pi_is_within_one_ulp_at_the_nodes():
+    # against the correctly rounded 40-digit value; np.sin(pi x) is 373
+    # ulp off at x = 1021/1024, where pi x rounds away its distance to pi
+    x = Mesh1D(1024).interior_nodes()
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.sinpi(mpmath.mpf(float(v))))
+                         for v in x])
+    assert np.all(np.abs(sin_pi(x) - want) <= np.spacing(want))
+    assert sin_pi(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_sin_pi_is_symmetric_on_power_of_two_meshes(k):
+    # 1 - x_j is exactly x_{M-j} on M = 2^k cells, so the data is
+    # mirrored bit for bit and its runs march only the odd sine modes
+    values = sin_pi(Mesh1D(2 ** k).interior_nodes())
+    assert np.array_equal(values, values[::-1])

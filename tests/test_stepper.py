@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import re
@@ -19,11 +20,12 @@ from msdiff.exponents import (example_exponent_1, example_exponent_2,
                               exponent_by_name)
 from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
                         sine_eigenvalues)
+from msdiff.harness import INITIAL_DATA
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
-                               heat_solve)
-from msdiff.stepper import (_BLOCK_ROWS, ModeSet, SolverConfig, _march,
-                            _march_meshes, sample_series, sample_solution,
-                            solve, solve_ladder)
+                               heat_solve, sin_pi)
+from msdiff.stepper import (_BLOCK_ROWS, _ODD_MODES, ModeSet, SolverConfig,
+                            _march, _march_meshes, sample_series,
+                            sample_solution, solve, solve_ladder)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
@@ -311,7 +313,8 @@ def test_table2_space_ladder_peak_memory(exp_ex2):
     # Table 2's six meshes march as one set of 498 modes.  Traced peaks
     # measured: 1.54 MB with dense 16 x 16 inverses per mode (half-block
     # solve), 0.71 MB with a zero-copy Toeplitz view of each mode's
-    # inverse column, 4.78 MB with dense 32 x 32 inverses (whole block)
+    # inverse column, 4.78 MB with dense 32 x 32 inverses (whole block);
+    # 0.94 MB now that the symmetric data marches its 252 odd modes only
     configs = [SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(m),
                             exponent=exp_ex2, initial=u0_quartic)
                for _, m in _LADDERS["table2-space"]]
@@ -322,6 +325,166 @@ def test_table2_space_ladder_peak_memory(exp_ex2):
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+
+
+def _mirrored(m_cells, seed):
+    """Initial data whose nodal values on m_cells (even) cells are a
+    random vector mirrored about x = 1/2, zero at the ends."""
+    half = np.random.default_rng(seed).standard_normal(m_cells // 2)
+    values = np.concatenate((half, half[-2::-1]))
+    return lambda x: (values if np.size(x) == m_cells - 1
+                      else np.zeros(np.shape(x)))
+
+
+@contextlib.contextmanager
+def _marched_sizes():
+    """The number of modes of each march made inside the block."""
+    sizes, march = [], stepper._march
+
+    def spy(modes, *args):
+        sizes.append(modes.start.size)
+        return march(modes, *args)
+
+    with unittest.mock.patch.object(stepper, "_march", spy):
+        yield sizes
+
+
+_SYMMETRIC = {"poly-x2-1mx2": lambda m: INITIAL_DATA["poly-x2-1mx2"],
+              "sin-pi": lambda m: sin_pi,
+              "mirrored": lambda m: _mirrored(m, m)}
+
+
+def _three_models(N):
+    """(solver, implicit, memory, first) of each model at N steps on
+    [0, 1]: multiscale (exp-example1), heat and constant-order CQ."""
+    lag = assemble_weights(N, 1.0 / N, example_exponent_1(1.0))
+    scale = N ** 0.4
+    return ((solve, 1.0 + lag[0], lag, 1), (heat_solve, 1.0, None, 1),
+            (lambda c: constant_subdiffusion_solve(c, 0.4), scale,
+             scale * cq_weights(0.4, N), 0))
+
+
+@pytest.mark.parametrize("data", sorted(_SYMMETRIC))
+@pytest.mark.parametrize("M", [2, 4, 16, 64])
+@pytest.mark.parametrize("N", [1, B + H + 1, 3 * B])
+def test_symmetric_data_marches_its_odd_modes(N, M, data):
+    # an even mode is odd about x = 1/2, so exactly symmetric data gives
+    # it a zero start and, with no source, it stays zero: a run marches
+    # and stores the M/2 odd modes only and still matches the oracle
+    # that steps every mode, for each model
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(M),
+                       exponent=example_exponent_1(1.0),
+                       initial=_SYMMETRIC[data](M))
+    u0 = ritz_projection(cfg.mesh, cfg.initial)
+    assert np.array_equal(u0, u0[::-1])
+    for solver, implicit, memory, first in _three_models(N):
+        with _marched_sizes() as sizes:
+            run = solver(cfg)
+        assert sizes == [M // 2]
+        assert run.coefficients.shape == (N + 1, M // 2)
+        assert run.modes == _ODD_MODES
+        want = direct_march(cfg, implicit, memory, first)
+        assert np.abs(run.snapshots - want).max() \
+            <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(run.final(), run.snapshots[-1])
+        _assert_samples_interpolate(run, 0.3)
+
+
+def _symmetric_1_and_63(x):
+    # sin(pi x) + sin(63 pi x), both symmetric about 1/2
+    x = np.asarray(x, float)
+    near = math.pi * np.minimum(x, 1.0 - x)
+    return np.sin(near) + np.sin(63.0 * near)
+
+
+def test_odd_coefficients_match_the_scalar_recurrence(exp_ex1):
+    # the marched columns of a symmetric run, entry by entry, against
+    # the odd modes stepped alone; the modes differ in size by up to 1e16
+    cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(64), exponent=exp_ex1,
+                       initial=_symmetric_1_and_63)
+    lam_mass, lam_stiff = sine_eigenvalues(cfg.mesh)
+    start = dst1(ritz_projection(cfg.mesh, cfg.initial))
+    for solver, implicit, memory, first in _three_models(cfg.n_steps):
+        want = scalar_march(lam_mass[::2], lam_stiff[::2], start[::2],
+                            cfg.tau, cfg.n_steps, implicit, memory, first)
+        run = solver(cfg)
+        assert run.coefficients.shape == want.shape
+        assert np.all(np.abs(run.coefficients - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("ladder", ["table1-space", "table2-space"])
+@pytest.mark.parametrize("data", sorted(_SYMMETRIC))
+def test_symmetric_ladder_finals_match_separate_solves(ladder, data):
+    # every level of the ladder is symmetric, so the one march of the
+    # ladder steps only odd modes, as each separate solve does
+    exp = example_exponent_2(1.0)
+    configs = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m), exponent=exp,
+                            initial=_SYMMETRIC[data](m))
+               for n, m in _LADDERS[ladder]]
+    with _marched_sizes() as sizes:
+        finals = solve_ladder(configs)
+    assert sizes == [sum(c.mesh.m_cells // 2 for c in configs)]
+    for cfg, got in zip(configs, finals):
+        want = solve(cfg).final()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), cfg
+
+
+def _skewed(x):
+    return x * (1.0 - x) ** 2
+
+
+def test_asymmetric_data_or_a_source_marches_every_mode(exp_ex1):
+    # data that is not mirrored bit for bit, or any source (which may
+    # feed the even modes), marches all M - 1 modes; so does a ladder
+    # with one such level
+    def config(initial, source=None, m=16):
+        return SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(m),
+                            exponent=exp_ex1, initial=initial, source=source)
+
+    def odd_source(x, t):  # symmetric about 1/2, as the data is
+        return sin_pi(x) * (1.0 + t)
+
+    nudged = _mirrored(16, 3)(np.zeros(15)).copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)  # one ulp off the mirror
+    for cfg in (config(_skewed), config(u0_sine, m=12),
+                config(lambda x: nudged if np.size(x) == 15
+                       else np.zeros(np.shape(x))),
+                config(sin_pi, _source), config(sin_pi, odd_source)):
+        for solver, *_ in _three_models(cfg.n_steps):
+            with _marched_sizes() as sizes:
+                run = solver(cfg)
+            assert sizes == [15 if cfg.mesh.m_cells == 16 else 11]
+            assert run.coefficients.shape[1] == cfg.mesh.n_unknowns
+    with _marched_sizes() as sizes:
+        solve_ladder([config(sin_pi), config(_skewed, m=8)])
+    assert sizes == [15 + 7]
+
+
+def test_symmetric_run_fails_in_the_block_of_its_first_bad_row(exp_ex1):
+    # each step multiplies the high odd modes by about 1e6: a symmetric
+    # run, judged on the odd modes it marched, names the block in which
+    # the march of every mode first overflows, for data scales whose
+    # first bad rows fall in each of the three blocks
+    N = 80
+    memory = np.zeros(N + 1)
+    memory[1] = -1e6
+    blocks = set()
+    mirrored = _mirrored(8, 5)
+    for k in range(300, -150, -25):
+        cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(8), exponent=exp_ex1,
+                           initial=lambda x, s=10.0 ** k: s * mirrored(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = direct_march(cfg, 1.0, memory)
+        first_bad = np.flatnonzero(~np.isfinite(direct).all(axis=1))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _marched_sizes() as sizes, \
+                    pytest.raises(SolverError, match="non-finite") as err:
+                _march_meshes([cfg], 1.0, memory)
+        assert sizes == [4]
+        assert _steps_named(err.value) == _block_of(first_bad, N), k
+        blocks.add(_block_of(first_bad, N))
+    assert len(blocks) == 3, blocks
 
 
 def _huge(x):
