@@ -403,6 +403,7 @@ def load_config_file(path: str, kind: str) -> dict:
 
 
 def _open_untruncated(path: str, flags: int) -> int:
+    """os.open as open() calls it, without O_TRUNC."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 

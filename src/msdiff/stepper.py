@@ -233,9 +233,10 @@ def solve_ladder(configs: list) -> list:
 # Table 2's 252.  In an in-process sweep (best of 25 marches, all modes
 # marched), B = 16 ran 7-40% slower than 32 on N = 128..2048 at M = 32
 # and 128; B = 64 ran 14% faster to 6% slower there and 35-42% slower on
-# Table 2's 498-mode ladder, whose traced peak it raised from 1.5 to 4.8 MB (figure1: 1.7
-# to 2.8 MB), past the bounds of the tests.  One causal solve per 16-row
-# block, or np.linalg.inv for the inverses, ran slower (ROADMAP item 7).
+# Table 2's 498-mode ladder, whose traced peak it raised from 1.5 to 4.8
+# MB (figure1: 1.7 to 2.8 MB), past the bounds of the tests.  One causal
+# solve per 16-row block, or np.linalg.inv for the inverses, ran slower
+# (ROADMAP item 7).
 _BLOCK_ROWS = 32
 
 
@@ -381,15 +382,10 @@ def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
     x must lie in [0, 1]; each value interpolates between the two
     nodes bracketing x (boundary nodes count as zero).  The P1 weights
     at x act on the nodal U_0 and, back-transformed (DST-I is
-    symmetric), on the rows dst1(U_n).
+    symmetric), on the stored columns `history.modes` of dst1(U_n).
     """
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"sample position {x} outside [0, 1]")
-    return _series(history, x)
-
-
-def _series(history: SolutionHistory, x: float) -> np.ndarray:
-    """sample_series without the check of x."""
     m = history.config.mesh.m_cells
     cell = min(int(x * m), m - 1)
     theta = x * m - cell
@@ -416,8 +412,8 @@ def _midpoint_series(config: SolverConfig, implicit: float,
     rounding level, not 0 (2.2e-18 at M = 100).  The run is judged on
     its odd modes alone.
     """
-    return _series(_march_meshes([config], implicit, memory, first,
-                                 odd_only=True)[0], 0.5)
+    return sample_series(_march_meshes([config], implicit, memory, first,
+                                       odd_only=True)[0], 0.5)
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:

@@ -358,7 +358,7 @@ def _three_models(N):
     """(solver, implicit, memory, first) of each model at N steps on
     [0, 1]: multiscale (exp-example1), heat and constant-order CQ."""
     lag = assemble_weights(N, 1.0 / N, example_exponent_1(1.0))
-    scale = N ** 0.4
+    scale = (1.0 / N) ** -0.4
     return ((solve, 1.0 + lag[0], lag, 1), (heat_solve, 1.0, None, 1),
             (lambda c: constant_subdiffusion_solve(c, 0.4), scale,
              scale * cq_weights(0.4, N), 0))
