@@ -15,8 +15,7 @@ from .exponents import (CaseClass, ValidationReport, VariableExponent,
                         exponent_by_name, figure_transition_exponent,
                         tabulated_exponent, validate_assumption_a,
                         zero_exponent)
-from .fem import (Mesh1D, TriDiagonalMatrix, discrete_l2_norm, load_vector,
-                  ritz_projection)
+from .fem import Mesh1D, TriDiagonalMatrix, discrete_l2_norm, ritz_projection
 from .harness import (ExperimentConfig, RateRow, RateTable, emit_table,
                       format_sig5, parse_rate_table, run_convergence_space,
                       run_convergence_time, run_figure_comparison,

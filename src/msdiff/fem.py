@@ -21,7 +21,6 @@ import numpy as np
 from .errors import SolverError, ValidationError
 
 _PIVOT_FLOOR = 1e-300
-_GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # two-point Gauss nodes at 1/2 +- this
 
 
 @dataclass(frozen=True)
@@ -126,25 +125,6 @@ def dst1(values: np.ndarray) -> np.ndarray:
     odd[..., 1:m] = np.ldexp(values, -shift)
     odd[..., m + 1:] = -odd[..., m - 1:0:-1]
     return np.ldexp(-0.5 * np.fft.rfft(odd, axis=-1)[..., 1:m].imag, shift)
-
-
-def load_vector(mesh: Mesh1D, f) -> np.ndarray:
-    """Entries int f phi_j dx by two-point Gauss per cell.
-
-    Exact for f linear on each cell, O(h^4) per cell otherwise; f must
-    accept numpy arrays.
-    """
-    h = mesh.h
-    left = h * np.arange(mesh.m_cells)
-    g1 = left + h * (0.5 - _GAUSS_OFFSET)
-    g2 = left + h * (0.5 + _GAUSS_OFFSET)
-    f1 = np.asarray(f(g1), float)
-    f2 = np.asarray(f(g2), float)
-    rise1, rise2 = 0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET
-    w = 0.5 * h
-    to_right = w * (rise1 * f1 + rise2 * f2)   # weight of the cell's right node
-    to_left = w * ((1.0 - rise1) * f1 + (1.0 - rise2) * f2)
-    return to_right[: mesh.m_cells - 1] + to_left[1:]
 
 
 def ritz_projection(mesh: Mesh1D, u0) -> np.ndarray:

@@ -26,7 +26,7 @@ from .stepper import (SolverConfig, SolutionHistory,  # noqa: F401
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
-    """Backward-Euler P1 solve of u_t - u_xx = f.
+    """Backward-Euler P1 solve of u_t - u_xx = 0.
 
     Ignores config.exponent; with a zero exponent the multiscale
     stepper must reproduce this history to roundoff.
@@ -57,9 +57,14 @@ def constant_subdiffusion_solve(config: SolverConfig,
     """Backward Euler with convolution quadrature for the fractional term:
 
     [M/tau + tau^(-a) A] U_n
-        = (M/tau) U_{n-1} + F_n - tau^(-a) A sum_{j=1..n} w_j U_{n-j},
+        = (M/tau) U_{n-1} - tau^(-a) A sum_{j=1..n} w_j U_{n-j},
 
     with a = alpha_bar in (0, 1).  Ignores config.exponent.
+
+    U_0 enters every sum, but no step is imposed at n = 0: rows 1..N of
+    mode k are c_k = 1 + lam_k tau^(1-a) times the first-order CQ of
+    v + lam_k I^(1-a) v = v(0) from U_0 / c_k (lam_k = lam^A_k / lam^M_k),
+    so the error falls like tau^(1-a); 54% in figure1 at N = 1024.
     """
     return _march_meshes([config], *_cq_terms(config, alpha_bar))[0]
 

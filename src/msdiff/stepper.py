@@ -2,12 +2,11 @@
 
 Every model here steps the P1 system
 
-    [M/tau + c A] U_n
-        = (M/tau) U_{n-1} + F_n - A sum_{k=first..n-1} w[n-k] U_k,
+    [M/tau + c A] U_n = (M/tau) U_{n-1} - A sum_{k=first..n-1} w[n-k] U_k,
 
-where M and A are the P1 mass and stiffness matrices, F_n the load at
-t_n, c the implicit coefficient and w a lag-indexed memory vector.  The
-models differ only in c, w and whether U_0 enters the sum (`first`):
+where M and A are the P1 mass and stiffness matrices, c the implicit
+coefficient and w a lag-indexed memory vector.  The models differ only
+in c, w and whether U_0 enters the sum (`first`):
 
 - multiscale (`solve`): c = 1 + lag[0], w = lag, the closed-form memory
   weights b(n, k) = lag[n - k], first = 1;
@@ -22,7 +21,7 @@ On the uniform mesh M and A share the sine eigenvectors, so the
 marcher steps the sine coefficients u_n = dst1(U_n) instead of nodal
 values.  Mode k then obeys the scalar recurrence
 
-    d_k u_n[k] = (lam^M_k/tau) u_{n-1}[k] + dst1(F_n)[k]
+    d_k u_n[k] = (lam^M_k/tau) u_{n-1}[k]
                  - lam^A_k sum_{j=first..n-1} w[n-j] u_j[k],
     d_k = lam^M_k/tau + c lam^A_k > 0 for c > 0,
 
@@ -62,8 +61,8 @@ sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
 - a run read only at x = 1/2, as each run of the transition figure is
   (`_midpoint_series`), does not need it: its P1 interpolant is 0
   there;
-- a run with no source whose nodal U_0 is exactly symmetric (every
-  config of a ladder's march) starts it at zero, and modes never mix,
+- a run whose nodal U_0 is exactly symmetric (every config of a
+  ladder's march) starts it at zero, and modes never mix,
   so it stays zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2
   use, is symmetric bit for bit on M = 2^k cells.  Its history holds
   the odd columns only, and `SolutionHistory` fills in the zeros when
@@ -82,25 +81,20 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .exponents import VariableExponent, validate_assumption_a
-from .fem import (Mesh1D, dst1, load_vector, ritz_projection,
-                  sine_eigenvalues)
+from .fem import Mesh1D, dst1, ritz_projection, sine_eigenvalues
 from .weights import assemble_weights
 
 
 @dataclass
 class SolverConfig:
-    """One fully specified run: grid, horizon, exponent, data.
-
-    source(x, t) may be None for a homogeneous equation; initial(x)
-    must vanish at the boundary.  Both must accept numpy arrays in x.
-    """
+    """One run of the homogeneous model: grid, horizon, exponent, data;
+    initial(x) must vanish at the boundary and accept numpy arrays."""
 
     T: float
     n_steps: int
     mesh: Mesh1D
     exponent: VariableExponent
     initial: Callable[[np.ndarray], np.ndarray]
-    source: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:
@@ -163,15 +157,13 @@ class SolutionHistory:
 
 class ModeSet(NamedTuple):
     """Sine modes marched together on one time grid (see _march): mode
-    k has eigenvalues lam_mass[k], lam_stiff[k], start value dst1(U_0)[k];
-    forcing(lo, hi), if given, returns rows dst1(F_n), n = lo..hi-1."""
+    k has eigenvalues lam_mass[k], lam_stiff[k], start value dst1(U_0)[k]."""
 
     tau: float
     n_steps: int
     lam_mass: np.ndarray
     lam_stiff: np.ndarray
     start: np.ndarray
-    forcing: Optional[Callable[[int, int], np.ndarray]] = None
 
 
 def solve(config: SolverConfig) -> SolutionHistory:
@@ -200,13 +192,13 @@ def _multiscale_terms(config: SolverConfig, validate: bool = True) -> tuple:
 def solve_ladder(configs: list) -> list:
     """Final nodal values of each config of a ladder; None where it failed.
 
-    The configs share T, exponent and source (else ValidationError).
+    The configs share T and exponent (else ValidationError).
     The exponent is validated once; the configs of one N march as one
     mode set and match solve(config).final() to rounding, or give None,
     each alone, where solve raises SolverError.
     """
     for i, c in enumerate(configs):
-        differ = [key for key in ("T", "exponent", "source")
+        differ = [key for key in ("T", "exponent")
                   if getattr(c, key) != getattr(configs[0], key)]
         if differ:
             raise ValidationError(f"ladder config {i} differs from config 0 "
@@ -244,27 +236,23 @@ def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
                   odd_only: bool = False):
     """SolutionHistory of each config, None where its run failed: the
-    configs share tau, N and source and march as one ModeSet (see
+    configs share tau and N and march as one ModeSet (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    Only the odd modes march if `odd_only`, or if there is no source and
-    every nodal U_0 is exactly symmetric (module doc); each history
-    holds the columns that marched."""
-    tau, source, N = configs[0].tau, configs[0].source, configs[0].n_steps
+    Only the odd modes march if `odd_only`, or if every nodal U_0 is
+    exactly symmetric (module doc); each history holds the columns that
+    marched."""
+    tau, N = configs[0].tau, configs[0].n_steps
     initial = [ritz_projection(c.mesh, c.initial) for c in configs]
-    symmetric = source is None and all(np.array_equal(u, u[::-1])
-                                       for u in initial)
+    symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
     modes = _ODD_MODES if odd_only or symmetric else slice(None)
     lam_mass, lam_stiff = map(np.concatenate, zip(
         *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
-    forcing = None if source is None else lambda lo, hi: np.hstack([dst1([
-        load_vector(c.mesh, lambda x, t=n * tau: source(x, t))
-        for n in range(lo, hi)])[:, modes] for c in configs])
     with np.errstate(over="ignore", invalid="ignore"):
         starts = [dst1(u0)[modes] for u0 in initial]
     edges = np.cumsum([0] + [u.size for u in starts])
     start = np.concatenate(starts)
-    history = _march(ModeSet(tau, N, lam_mass, lam_stiff, start, forcing),
+    history = _march(ModeSet(tau, N, lam_mass, lam_stiff, start),
                      implicit, memory, first)
     alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
     if not alive.any():  # the first row where every config is non-finite
@@ -300,8 +288,8 @@ def _march(modes: ModeSet, implicit: float,
                           f"tau = {tau}; refine the time step")
     denom = modes.lam_mass / tau + implicit * modes.lam_stiff
     decay = modes.lam_mass / (tau * denom)
-    inv_denom = 1.0 / denom
-    gain = modes.lam_stiff * inv_denom
+    # a product with 1/denom: "/ denom" would move the outputs' last bits
+    gain = modes.lam_stiff * (1.0 / denom)
     size, half = min(_BLOCK_ROWS, N), min(_BLOCK_ROWS // 2, N)
     history = np.empty((N + 1, modes.start.size))
     history[0] = modes.start
@@ -330,8 +318,6 @@ def _march(modes: ModeSet, implicit: float,
             else:
                 block.fill(0.0)
             block[0] += decay * history[lo - 1]
-            if modes.forcing is not None:
-                block += inv_denom * modes.forcing(lo, hi)
             top, bottom = block[:half], block[half:]
             _causal_solve(inverse, top)
             if len(bottom):

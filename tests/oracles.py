@@ -6,11 +6,12 @@ evaluation of the closed-form memory weights, dense Gaussian
 elimination, a Lanczos gamma independent of math.gamma,
 high-resolution quadrature of interpolants, the banded P1 mass and
 stiffness matrices, a dense time-stepping loop built on them that
-shares nothing with the library's marcher beyond the load vector, the
-direct sine-mode marcher that sums the whole history at every step,
-where the library solves blocks of steps at once, a scalar recurrence
-of single modes in python floats, and the whole nodal scheme in
-40-digit arithmetic.
+shares nothing with the library's marcher, the direct sine-mode
+marcher that sums the whole history at every step, where the library
+solves blocks of steps at once, a scalar recurrence of single modes in
+python floats, the whole nodal scheme in 40-digit arithmetic, the
+constant-order scheme's integral form, and the exact time-continuous
+solution of one sine mode of the multiscale model.
 """
 
 import math
@@ -20,8 +21,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from msdiff.fem import (Mesh1D, TriDiagonalMatrix, dst1, load_vector,
-                        ritz_projection, sine_eigenvalues)
+from msdiff.fem import (Mesh1D, TriDiagonalMatrix, dst1, ritz_projection,
+                        sine_eigenvalues)
 
 EULER = 0.5772156649015328606
 
@@ -231,16 +232,14 @@ def dense_gauss_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None,
-                  source=None):
+def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None):
     """Backward-Euler P1 snapshots U_0..U_N of
 
-        (M/tau + implicit A) U_n = M U_{n-1} / tau + F_n
+        (M/tau + implicit A) U_n = M U_{n-1} / tau
                                    - sum_{k=0..n-1} weight(n, k) A U_k,
 
     with A applied to each history term separately and a dense Gaussian
-    elimination at every step.  weight=None drops the memory term;
-    F_n is the load vector of source(x, t_n), or zero for source=None.
+    elimination at every step.  weight=None drops the memory term.
     """
     mass = dense_from_tridiag(assemble_mass(mesh))
     stiff = dense_from_tridiag(assemble_stiffness(mesh))
@@ -249,8 +248,6 @@ def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None,
     hist[0] = initial(mesh.interior_nodes())
     for n in range(1, n_steps + 1):
         rhs = mass @ hist[n - 1] / tau
-        if source is not None:
-            rhs += load_vector(mesh, lambda x: source(x, n * tau))
         if weight is not None:
             for k in range(n):
                 rhs -= weight(n, k) * (stiff @ hist[k])
@@ -264,7 +261,7 @@ def direct_march(config, implicit, memory=None, first=1) -> np.ndarray:
     Same arguments and scheme as msdiff.stepper._march: mode k of the
     sine coefficients u_n = dst1(U_n) obeys
 
-        d_k u_n = (lam^M_k / tau) u_{n-1} + dst1(F_n)
+        d_k u_n = (lam^M_k / tau) u_{n-1}
                   - lam^A_k sum_{j=first..n-1} memory[n-j] u_j,
 
     with d_k = lam^M_k / tau + implicit lam^A_k, and the memory sum is
@@ -281,9 +278,6 @@ def direct_march(config, implicit, memory=None, first=1) -> np.ndarray:
     hist[0] = dst1(u0)
     for n in range(1, N + 1):
         hist[n] = decay * hist[n - 1]
-        if config.source is not None:
-            hist[n] += dst1(load_vector(
-                mesh, lambda x: config.source(x, n * tau))) / denom
         if memory is not None and n > first:
             hist[n] -= gain * (memory[n - first:0:-1] @ hist[first:n])
     hist = dst1(hist) * (2.0 / mesh.m_cells)
@@ -318,35 +312,88 @@ def scalar_march(lam_mass, lam_stiff, start, tau, n_steps, implicit,
     return np.array(rows).T
 
 
+def cq_integral_form(lam_mass, lam_stiff, start, tau, n_steps,
+                     alpha) -> np.ndarray:
+    """Coefficients v_0..v_N (rows) of independent scalar modes solving
+
+        v_n + g_k sum_{j=0..n} q[n-j] v_j = start[k],   n = 0..N,
+
+    with g_k = (lam_stiff[k] / lam_mass[k]) tau^(1-alpha) and q the
+    coefficients of (1 - z)^(alpha-1): backward-Euler convolution
+    quadrature of the integral form v + lam I^(1-alpha) v = v(0) of
+    v' + lam d^alpha_RL v = 0.  Python floats, the sum by math.fsum.
+    """
+    q = [1.0]
+    for j in range(1, n_steps + 1):
+        q.append(q[-1] * (j - alpha) / j)
+    rows = []
+    for mass, stiff, u0 in zip(lam_mass, lam_stiff, start):
+        g = float(stiff) / float(mass) * tau ** (1.0 - alpha)
+        v = []
+        for n in range(n_steps + 1):
+            history = math.fsum(q[n - j] * v[j] for j in range(n))
+            v.append((float(u0) - g * history) / (1.0 + g))
+        rows.append(v)
+    return np.array(rows).T
+
+
+def _volterra_trapezoid(alpha, lam, T, n_steps) -> np.ndarray:
+    """phi(t_n), n = 0..N, t_n = n T / N, of
+
+        phi(t) = 1 - lam int_0^t p(t - s) phi(s) ds,
+        p(t) = t^-alpha(t) / Gamma(1 - alpha(t)),  p(0) = 1,
+
+    by the trapezoid rule on the convolution, Gamma from math.gamma."""
+    h = T / n_steps
+    times = h * np.arange(1, n_steps + 1)
+    kernel = np.empty(n_steps + 1)
+    kernel[0] = 1.0  # alpha(0) = 0 and alpha(t) ln t -> 0
+    alphas = np.asarray(alpha(times), float)
+    kernel[1:] = [t ** -a / math.gamma(1.0 - a)
+                  for t, a in zip(times.tolist(), alphas.tolist())]
+    phi = np.empty(n_steps + 1)
+    phi[0] = 1.0
+    for n in range(1, n_steps + 1):
+        tail = 0.5 * kernel[n] + np.dot(kernel[n - 1:0:-1], phi[1:n])
+        phi[n] = (1.0 - lam * h * tail) / (1.0 + 0.5 * lam * h)
+    return phi
+
+
+def volterra_mode(alpha, lam, T, n_steps=16384) -> np.ndarray:
+    """Exact time-continuous coefficient phi(t_n), n = 0..n_steps, of a
+    sine mode of the multiscale model with phi(0) = 1.
+
+    Mode k of the P1 semi-discretisation obeys
+    phi' + lam phi + lam (g * phi) = 0 with lam = lam^A_k / lam^M_k and
+    the kernel g = p' of the model, p(0) = 1 (criterion 5), so
+    integrating once gives the second-kind Volterra equation of
+    _volterra_trapezoid, whose kernel is continuous.  One Richardson
+    step on the trapezoid rule at n_steps and 2 n_steps: at T = 1 it
+    moves the value at T by 4.5e-11 (exp-example1), and the steps from
+    8192 and from 16384 agree to 1.3e-11 (exp-example1) and 2.1e-11
+    (exp-example2).
+    """
+    coarse = _volterra_trapezoid(alpha, lam, T, n_steps)
+    fine = _volterra_trapezoid(alpha, lam, T, 2 * n_steps)
+    return (4.0 * fine[::2] - coarse) / 3.0
+
+
 def mp_march(m_cells, tau, n_steps, start, implicit, memory=None,
-             first=1, source=None) -> np.ndarray:
+             first=1) -> np.ndarray:
     """Nodal snapshots U_0..U_N (rows) of the backward-Euler P1 scheme
 
-        (M/tau + implicit A) U_n = (M/tau) U_{n-1} + F_n
+        (M/tau + implicit A) U_n = (M/tau) U_{n-1}
                                    - A sum_{k=first..n-1} memory[n-k] U_k
 
     in 40-digit mpmath, with dense P1 mass M and stiffness A on
     h = 1/m_cells, the system matrix inverted once and A U_k kept for
     the memory sum: no sine transform, FFT, power-of-two scaling or
     blocking.  start is the float U_0 and tau is taken exactly;
-    implicit and memory[j] should carry 40 digits (mpf).  F_n is zero
-    without a source, else the load vector of source(x, n tau) (mpf in,
-    mpf out) by two-point Gauss per cell, its nodes and weights in 40
-    digits.  Only the result is rounded to float64.
+    implicit and memory[j] should carry 40 digits (mpf).  Only the
+    result is rounded to float64.
     """
     with mpmath.workdps(40):
         size, h, tau = m_cells - 1, mpmath.mpf(1) / m_cells, mpmath.mpf(tau)
-        rises = [mpmath.mpf(1) / 2 + s / (2 * mpmath.sqrt(3)) for s in (-1, 1)]
-
-        def load(t):  # nodal F at time t, boundary nodes included
-            nodal = [mpmath.mpf(0)] * (m_cells + 1)
-            for cell in range(m_cells):
-                for rise in rises:
-                    part = h / 2 * source((cell + rise) * h, t)
-                    nodal[cell] += (1 - rise) * part
-                    nodal[cell + 1] += rise * part
-            return nodal[1:-1]
-
         mass, stiff = mpmath.zeros(size), mpmath.zeros(size)
         for i in range(size):
             mass[i, i], stiff[i, i] = 4 * h / 6, 2 / h
@@ -361,8 +408,6 @@ def mp_march(m_cells, tau, n_steps, start, implicit, memory=None,
         pushed = [[] for _ in range(size)]  # (A U_k)[i], k = first..n-1
         for n in range(1, n_steps + 1):
             rhs = [mpmath.fdot(row, hist[n - 1]) for row in mass]
-            if source is not None:
-                rhs = [r + f for r, f in zip(rhs, load(n * tau))]
             if memory is not None and n > first:
                 for col, row in zip(pushed, stiff):
                     col.append(mpmath.fdot(row, hist[n - 1]))

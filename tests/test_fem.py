@@ -6,7 +6,7 @@ from scipy.linalg import eigh
 
 from msdiff.errors import SolverError, ValidationError
 from msdiff.fem import (Mesh1D, TriDiagonalMatrix, discrete_l2_norm, dst1,
-                        load_vector, ritz_projection, sine_eigenvalues)
+                        ritz_projection, sine_eigenvalues)
 
 from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
                      dense_gauss_solve, interpolant_error_l2,
@@ -102,23 +102,6 @@ def test_sine_eigenvalues_diagonalize_mass_and_stiffness(m_cells):
         assert np.abs(got - np.diag(lam)).max() <= 1e-13 * lam.max()
 
 
-def test_load_vector_trivial_sources():
-    mesh = Mesh1D(8)
-    assert np.all(load_vector(mesh, lambda x: 0.0 * x) == 0.0)
-    assert np.allclose(load_vector(mesh, lambda x: np.ones_like(x)),
-                       mesh.h, atol=1e-15)
-
-
-def test_load_vector_sine_against_closed_form():
-    mesh = Mesh1D(32)
-    got = load_vector(mesh, lambda x: np.sin(math.pi * x))
-    # int sin(pi x) phi_j dx = sin(pi x_j) 2(1 - cos(pi h)) / (pi^2 h)
-    h = mesh.h
-    exact = np.sin(math.pi * mesh.interior_nodes()) \
-        * 2.0 * (1.0 - math.cos(math.pi * h)) / (math.pi ** 2 * h)
-    assert np.abs(got - exact).max() < 1e-6
-
-
 def test_ritz_projection_is_identity_on_hats():
     mesh = Mesh1D(8)
     j = 3
@@ -211,11 +194,12 @@ def test_tridiag_against_dense_elimination():
 
 
 def test_tridiag_reproduces_poisson_solution():
-    # -u'' = 1 with u = x(1-x)/2 is nodally exact for P1 on any grid
+    # -u'' = 1 with u = x(1-x)/2 is nodally exact for P1 on any grid;
+    # the load of f = 1 is int phi_j = h at every interior node
     mesh = Mesh1D(8)
     x = mesh.interior_nodes()
     sol = assemble_stiffness(mesh).factor().solve(
-        load_vector(mesh, lambda s: np.ones_like(s)))
+        np.full(mesh.n_unknowns, mesh.h))
     assert np.abs(sol - x * (1.0 - x) / 2.0).max() < 1e-14
 
 

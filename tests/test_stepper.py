@@ -142,15 +142,6 @@ def _assert_matches_direct(configs, implicit, memory=None, first=1):
             <= 1e-12 * np.abs(want).max(), cfg.mesh
 
 
-def _source(x, t):
-    return (1.0 + 3.0 * t) * np.cos(3.0 * np.asarray(x, float)) + x
-
-
-def _mp_source(x, t):
-    """_source on mpf arguments, for the 40-digit scheme."""
-    return (1 + 3 * t) * mpmath.cos(3 * x) + x
-
-
 @pytest.mark.parametrize("N", [1, H - 1, H, H + 1, B - 1, B, B + 1, B + H,
                                B + H + 1, 2 * B + 1, 2 * B + H + 1, 3 * B])
 def test_blocked_marcher_matches_direct_oracle(N):
@@ -158,8 +149,8 @@ def test_blocked_marcher_matches_direct_oracle(N):
     # a half block, exactly one, a bottom half of a single step, one
     # short block, exactly one, one plus a single step, several, and
     # partial last blocks that end at or just past the half; for all
-    # callers of the marcher (first 1 and 0, with and without a source)
-    # on a set of 4 + 159 modes, more than figure1's 127
+    # callers of the marcher (first 1 and 0) on a set of 4 + 159 modes,
+    # more than figure1's 127
     tau = 1.0 / N
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
         exp = exponent_by_name(name, 1.0, 0.4)
@@ -168,15 +159,9 @@ def test_blocked_marcher_matches_direct_oracle(N):
                    for m in (5, 160)]
         lag = assemble_weights(N, tau, exp)
         _assert_matches_direct(configs, 1.0 + lag[0], lag)
-        if name == "exp-example1":
-            _assert_matches_direct([dataclasses.replace(c, source=_source)
-                                    for c in configs], 1.0 + lag[0], lag)
     scale = tau ** -0.4
-    for source in (None, _source):
-        configs = [dataclasses.replace(c, source=source) for c in configs]
-        _assert_matches_direct(configs, scale, scale * cq_weights(0.4, N),
-                               first=0)
-        _assert_matches_direct(configs, 1.0)
+    _assert_matches_direct(configs, scale, scale * cq_weights(0.4, N), first=0)
+    _assert_matches_direct(configs, 1.0)
 
 
 def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
@@ -188,8 +173,7 @@ def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
 
 def _mp_scheme_gaps(N, M):
     # gap of each marcher's snapshots to the 40-digit scheme, relative
-    # to max |U|: solve on the four built-in profiles, then heat and CQ;
-    # solve (exp-example1), heat and CQ also with the source _source
+    # to max |U|: solve on the four built-in profiles, then heat and CQ
     tau, start = 1.0 / N, u0_quartic(Mesh1D(M).interior_nodes())
     runs = []
     for name in ("exp-example1", "exp-example2", "exp-figure1", "zero"):
@@ -201,25 +185,15 @@ def _mp_scheme_gaps(N, M):
             implicit = 1 + mpmath.mpf(lag[0])
             want = mp_march(M, tau, N, start, implicit, lag)
         runs.append((solve(cfg), want))
-        if name == "exp-example1":
-            with mpmath.workdps(40):
-                want = mp_march(M, tau, N, start, implicit, lag,
-                                source=_mp_source)
-            runs.append((solve(dataclasses.replace(cfg, source=_source)),
-                         want))
     with mpmath.workdps(40):
         alpha, scale = mpmath.mpf(0.4), mpmath.mpf(tau) ** -mpmath.mpf(0.4)
         memory = [scale]
         for j in range(1, N + 1):
             memory.append(memory[-1] * (j - 1 - alpha) / j)
-    for source, mp_source in ((None, None), (_source, _mp_source)):
-        cfg = dataclasses.replace(cfg, source=source)
-        with mpmath.workdps(40):
-            heat = mp_march(M, tau, N, start, 1, source=mp_source)
-            cq = mp_march(M, tau, N, start, scale, memory, first=0,
-                          source=mp_source)
-        runs += [(heat_solve(cfg), heat),
-                 (constant_subdiffusion_solve(cfg, 0.4), cq)]
+        heat = mp_march(M, tau, N, start, 1)
+        cq = mp_march(M, tau, N, start, scale, memory, first=0)
+    runs += [(heat_solve(cfg), heat),
+             (constant_subdiffusion_solve(cfg, 0.4), cq)]
     return [np.abs(got.snapshots - want).max() / np.abs(want).max()
             for got, want in runs]
 
@@ -369,9 +343,9 @@ def _three_models(N):
 @pytest.mark.parametrize("N", [1, B + H + 1, 3 * B])
 def test_symmetric_data_marches_its_odd_modes(N, M, data):
     # an even mode is odd about x = 1/2, so exactly symmetric data gives
-    # it a zero start and, with no source, it stays zero: a run marches
-    # and stores the M/2 odd modes only and still matches the oracle
-    # that steps every mode, for each model
+    # it a zero start and it stays zero: a run marches and stores the
+    # M/2 odd modes only and still matches the oracle that steps every
+    # mode, for each model
     cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(M),
                        exponent=example_exponent_1(1.0),
                        initial=_SYMMETRIC[data](M))
@@ -433,23 +407,18 @@ def _skewed(x):
     return x * (1.0 - x) ** 2
 
 
-def test_asymmetric_data_or_a_source_marches_every_mode(exp_ex1):
-    # data that is not mirrored bit for bit, or any source (which may
-    # feed the even modes), marches all M - 1 modes; so does a ladder
-    # with one such level
-    def config(initial, source=None, m=16):
+def test_asymmetric_data_marches_every_mode(exp_ex1):
+    # data that is not mirrored bit for bit marches all M - 1 modes; so
+    # does a ladder with one such level
+    def config(initial, m=16):
         return SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(m),
-                            exponent=exp_ex1, initial=initial, source=source)
-
-    def odd_source(x, t):  # symmetric about 1/2, as the data is
-        return sin_pi(x) * (1.0 + t)
+                            exponent=exp_ex1, initial=initial)
 
     nudged = _mirrored(16, 3)(np.zeros(15)).copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)  # one ulp off the mirror
     for cfg in (config(_skewed), config(u0_sine, m=12),
                 config(lambda x: nudged if np.size(x) == 15
-                       else np.zeros(np.shape(x))),
-                config(sin_pi, _source), config(sin_pi, odd_source)):
+                       else np.zeros(np.shape(x)))):
         for solver, *_ in _three_models(cfg.n_steps):
             with _marched_sizes() as sizes:
                 run = solver(cfg)
@@ -675,29 +644,22 @@ _MESHES = (4, 8, 16)
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(N=st.sampled_from([B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]),
-       data=st.data())
-def test_judging_row_n_agrees_with_a_full_scan(N, data):
-    # a source that turns one step non-finite on a drawn set of levels,
-    # each at its own drawn step: the levels judged by row N alone are
-    # those with a non-finite value anywhere in the marched history,
-    # and with none left the error names the block of the first row at
-    # which every level is non-finite
-    bad = data.draw(st.dictionaries(
-        st.sampled_from(_MESHES), st.tuples(st.integers(1, N),
-                                            st.sampled_from([np.nan, np.inf,
-                                                             -np.inf])),
-        min_size=1))
-    tau = 1.0 / N
-
-    def source(x, t):
-        m_cells, n = np.size(x), round(t / tau)
-        value = bad[m_cells][1] if bad.get(m_cells, (0,))[0] == n else 0.0
-        return np.full(np.shape(x), value)
-
+       powers=st.lists(st.integers(-300, 300), min_size=len(_MESHES),
+                       max_size=len(_MESHES)))
+def test_judging_row_n_agrees_with_a_full_scan(N, powers):
+    # each step multiplies the high modes by about 1e6 and each level
+    # starts from its own drawn scale 10^p of asymmetric data (all M - 1
+    # modes march), so that it first overflows at its own step or not at
+    # all: the levels judged by row N alone are those with a non-finite
+    # value anywhere in the marched history, which are those whose
+    # step-by-step march overflows, and with none left the error names
+    # the block of the first row at which every level is non-finite
+    memory = np.zeros(N + 1)
+    memory[1] = -1e6
     exp = example_exponent_1(1.0)
     configs = [SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(m), exponent=exp,
-                            initial=u0_sine, source=source) for m in _MESHES]
-    lag = assemble_weights(N, tau, exp)
+                            initial=lambda x, s=10.0 ** p: s * _skewed(x))
+               for m, p in zip(_MESHES, powers)]
     march, seen = stepper._march, []
 
     def spy(*args):  # keeps the history that _march_meshes judged
@@ -707,12 +669,14 @@ def test_judging_row_n_agrees_with_a_full_scan(N, data):
     edges = np.cumsum([0] + [m - 1 for m in _MESHES])
     with unittest.mock.patch.object(stepper, "_march", spy):
         try:
-            runs = _march_meshes(configs, 1.0 + lag[0], lag)
+            runs = _march_meshes(configs, 1.0, memory)
         except SolverError as err:
             runs, named = None, err
     finite = np.isfinite(seen[0])
     failed = [not finite[:, lo:hi].all() for lo, hi in zip(edges, edges[1:])]
-    assert failed == [m in bad for m in _MESHES]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert failed == [not np.isfinite(direct_march(c, 1.0, memory)).all()
+                          for c in configs]
     if runs is not None:
         assert [run is None for run in runs] == failed
         return
@@ -720,7 +684,6 @@ def test_judging_row_n_agrees_with_a_full_scan(N, data):
     dead = np.logical_and.reduce([~finite[:, lo:hi].all(axis=1)
                                   for lo, hi in zip(edges, edges[1:])])
     first = int(np.flatnonzero(dead)[0])
-    assert _block_of(first, N) == _block_of(max(n for n, _ in bad.values()), N)
     assert _steps_named(named) == _block_of(first, N)
 
 
@@ -755,8 +718,8 @@ def test_sine_coefficients_near_the_overflow_threshold(exp_ex1):
 
 
 def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
-    # a ladder marches each N with the first config's T, exponent and
-    # source; a config that differs in any of them is refused by name
+    # a ladder marches each N with the first config's T and exponent; a
+    # config that differs in either is refused by name
     def config(m, **kw):
         return SolverConfig(**{"T": 1.0, "n_steps": 16, "mesh": Mesh1D(m),
                                "exponent": exp_ex1, "initial": u0_sine,
@@ -766,50 +729,11 @@ def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
     assert len(solve_ladder(same)) == 2
     exp_ex1_t2 = example_exponent_1(2.0)
     for odd, name in ((config(8, T=2.0, exponent=exp_ex1_t2), "T, exponent"),
-                      (config(8, exponent=exp_ex2), "exponent"),
-                      (config(4, source=_source), "source")):
+                      (config(8, exponent=exp_ex2), "exponent")):
         with pytest.raises(ValidationError,
                            match=f"ladder config 2 differs from config 0 "
                                  f"in {name}$"):
             solve_ladder(same + [odd])
-
-
-@pytest.mark.parametrize("N,M", [(1, 2), (6, 2), (5, 3), (16, 8),
-                                 (12, 17)])
-def test_source_term_matches_dense_oracle(N, M, exp_ex1):
-    mesh = Mesh1D(M)
-    tau = 1.0 / N
-    cfg = SolverConfig(T=1.0, n_steps=N, mesh=mesh, exponent=exp_ex1,
-                       initial=u0_sine, source=_source)
-    lag = assemble_weights(N, tau, exp_ex1)
-    want = dense_history(
-        mesh, tau, N, u0_sine, implicit=1.0 + lag[0],
-        weight=lambda n, k: lag[n - k] if k else 0.0, source=_source)
-    assert np.abs(solve(cfg).snapshots - want).max() <= 1e-12
-    want = dense_history(mesh, tau, N, u0_sine, source=_source)
-    assert np.abs(heat_solve(cfg).snapshots - want).max() <= 1e-12
-
-
-def test_source_term_is_sampled_at_step_end(exp_zero):
-    # u = t sin(pi x) solves u_t - u_xx = (1 + pi^2 t) sin(pi x) and is
-    # linear in time, so backward Euler with f sampled at t_n reproduces
-    # it down to the fixed spatial floor; sampling f anywhere else in
-    # the step would leave an O(tau) residue far above that floor
-    mesh = Mesh1D(32)
-
-    def source(x, t):
-        return (1.0 + math.pi ** 2 * t) * np.sin(math.pi * np.asarray(x, float))
-
-    errs = []
-    for N in (16, 32, 64):
-        cfg = SolverConfig(T=0.5, n_steps=N, mesh=mesh, exponent=exp_zero,
-                           initial=lambda x: 0.0 * np.asarray(x, float),
-                           source=source)
-        got = solve(cfg).final()
-        exact = 0.5 * np.sin(math.pi * mesh.interior_nodes())
-        errs.append(discrete_l2_norm(got - exact, mesh.h))
-    assert max(errs) < 1e-4
-    assert max(errs) - min(errs) < 0.1 * min(errs)
 
 
 def test_exact_heat_benchmark_temporal_rate(exp_zero):
@@ -854,7 +778,7 @@ def test_self_convergence_is_monotone(builder, u0):
 
 
 def test_solution_stays_bounded_by_initial_data(exp_ex1):
-    # no-source decay: max_n ||U_n|| / ||U_0|| must not grow as N refines
+    # decay: max_n ||U_n|| / ||U_0|| must not grow as N refines
     ratios = []
     for N in (128, 256, 512, 1024, 2048):
         cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(32),

@@ -5,9 +5,11 @@ the final time and far below first order uniformly in time.
 
 Each rate compares the runs at N and 2N (sin(pi x), M = 32, T = 1,
 N = 64..2048) on their shared time levels, in the nodal L2 norm.  The
-margins are set from the rates measured below, which are deterministic
-up to rounding.  Exponents drawn as spline tables keep the last-row
-rates of the convergence studies: first order in time, second in space.
+multiscale scheme is also measured against its exact time-continuous
+solution at x = 1/2 (N = 64..4096).  The margins are set from the
+rates measured below, which are deterministic up to rounding.
+Exponents drawn as spline tables keep the last-row rates of the
+convergence studies: first order in time, second in space.
 """
 
 import math
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 
 from msdiff.exponents import exponent_by_name, zero_exponent
-from msdiff.fem import Mesh1D, discrete_l2_norm
-from msdiff.reference import constant_subdiffusion_solve
-from msdiff.stepper import SolverConfig, solve, solve_ladder
+from msdiff.fem import Mesh1D, discrete_l2_norm, sine_eigenvalues
+from msdiff.reference import constant_subdiffusion_solve, sin_pi
+from msdiff.stepper import SolverConfig, sample_series, solve, solve_ladder
 
 from conftest import u0_sine
+from oracles import volterra_mode
 from test_properties import admissible_spline, spline_tables
 
 M = 32
@@ -51,6 +54,36 @@ def test_multiscale_time_error_is_first_order_over_the_whole_run(name):
     assert all(abs(rate - 1.0) <= 0.1 for rate in worst), worst
     assert worst == sorted(worst), worst
     assert abs(worst[-1] - 1.0) <= 0.02, worst
+
+
+@pytest.mark.parametrize("name", ["exp-example1", "exp-example2"])
+def test_multiscale_scheme_converges_to_its_exact_solution(name):
+    # P1 nodal sin(pi x) is exactly the discrete sine mode 1, so
+    # u(1/2, t_n) is that mode's coefficient, whose time-continuous
+    # value is oracles.volterra_mode with lam = lam^A_1 / lam^M_1.
+    # Measured, N = 64..4096: final-time errors 5.5e-4 to 1.0e-5
+    # (exp-example1) and 1.2e-3 to 2.2e-5 (exp-example2), rates 0.889
+    # rising to 0.992 and 0.901 to 0.994; max-over-t_n rates 0.949 to
+    # 0.998 on both.  Every rate rises with N and stays at most 1; the
+    # first final-time rate is at least 0.88 and the last at least
+    # 0.99, the first max-over-t_n rate at least 0.94 and the last at
+    # least 0.997
+    exponent = exponent_by_name(name, 1.0, 0.4)
+    lam_mass, lam_stiff = sine_eigenvalues(Mesh1D(M))
+    truth = volterra_mode(exponent.alpha, lam_stiff[0] / lam_mass[0], 1.0)
+    final, worst = [], []
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        run = solve(SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(M),
+                                 exponent=exponent, initial=sin_pi))
+        gaps = np.abs(sample_series(run, 0.5) - truth[::(truth.size - 1) // n])
+        final.append(gaps[-1])
+        worst.append(gaps.max())
+    assert final[-1] <= 2.5e-5, final
+    for errors, first, last in ((final, 0.88, 0.99), (worst, 0.94, 0.997)):
+        rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert rates == sorted(rates), rates
+        assert rates[0] >= first and rates[-1] >= last, rates
+        assert max(rates) <= 1.0, rates
 
 
 @pytest.mark.parametrize("alpha, uniform_cap", [(0.4, 0.45), (0.8, 0.1)])
