@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_integer
 
 _PIVOT_FLOOR = 1e-300
 
@@ -30,6 +30,7 @@ class Mesh1D:
     m_cells: int
 
     def __post_init__(self):
+        require_integer(self.m_cells, "m_cells")
         if self.m_cells < 2:
             raise ValidationError(
                 f"mesh needs at least 2 cells, got {self.m_cells}")

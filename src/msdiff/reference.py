@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .exponents import figure_transition_exponent
 from .fem import Mesh1D
 # solve and sample_solution are not called here, but perfbench/spans.py
 # traces them under this module's name
 from .stepper import (SolverConfig, SolutionHistory,  # noqa: F401
-                      _march_meshes, _midpoint_series, _multiscale_terms,
+                      _march_meshes, _multiscale_terms, sample_series,
                       sample_solution, solve)
 
 
@@ -48,6 +48,7 @@ def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
     if not 0.0 < alpha_bar < 1.0:
         raise ValidationError(
             f"constant exponent must lie in (0, 1), got {alpha_bar}")
+    require_integer(count, "count")
     j = np.arange(1.0, count + 1.0)
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha_bar) / j)))
 
@@ -118,9 +119,10 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),
                           initial=initial)
-    models = (_multiscale_terms, _heat_terms,
-              lambda c: _cq_terms(c, alpha_end))
-    multi, heat, sub = (_midpoint_series(config, *terms(config))
-                        for terms in models)
+    models = (_multiscale_terms(config), _heat_terms(config),
+              _cq_terms(config, alpha_end))
+    multi, heat, sub = (
+        sample_series(_march_meshes([config], *terms, odd_only=True)[0], 0.5)
+        for terms in models)
     return ComparisonSeries(config.tau * np.arange(n_steps + 1), heat, multi,
                             sub)

@@ -46,21 +46,23 @@ steps and, per block lo..hi-1:
 A run takes N/B + B/2 interpreter steps instead of N, and the memory sum
 is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
 because the memory term needs it anyway).  Modes never mix, so the
-marcher takes a `ModeSet`, the modes of one or more meshes on one time
-grid; `solve_ladder` marches the meshes of a ladder that share N as
-one set.  A mesh is judged once, by row N, which any non-finite value
-reaches (decay > 0 carries it on, and so do the half-block products): it
-drops out alone, and SolverError, naming a block of steps, comes once
-none is left.  A run stays in the sine basis; `SolutionHistory` and the
-samplers transform back only what is read.
+marcher takes the eigenvalues and start values of the modes of one or
+more meshes on one time grid; `solve_ladder` marches the meshes of a
+ladder that share N as one set.  A mesh is judged once, by row N,
+which any non-finite value reaches (decay > 0 carries it on, and so do
+the half-block products): it drops out alone, and SolverError, naming
+a block of steps, comes once none is left.  A run stays in the sine
+basis; `SolutionHistory` and the samplers transform back only what is
+read.
 
 Two rules march only the odd modes k = 1, 3, 5, ..., halving the
 solves, the history product and the history memory.  An even mode
 sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
 
 - a run read only at x = 1/2, as each run of the transition figure is
-  (`_midpoint_series`), does not need it: its P1 interpolant is 0
-  there;
+  (`reference.figure_transition_profiles`, which asks for `odd_only`),
+  does not need it: its P1 weight there (node M/2 for even M, the mean
+  of the two centre nodes for odd M) is exactly 0;
 - a run whose nodal U_0 is exactly symmetric (every config of a
   ladder's march) starts it at zero, and modes never mix,
   so it stays zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2
@@ -69,17 +71,18 @@ sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
   it transforms back.
 
 The modes are picked by parity, never by testing coefficients for
-zero: dst1 leaves an even coefficient of symmetric data at rounding
-level.  A run that marched only its odd modes is judged on them alone.
+zero: dst1 leaves an even coefficient of symmetric data, and an even
+mode's computed weight at 1/2, at rounding level (2.2e-18 at M = 100).
+A run that marched only its odd modes is judged on them alone.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_integer
 from .exponents import VariableExponent, validate_assumption_a
 from .fem import Mesh1D, dst1, ritz_projection, sine_eigenvalues
 from .weights import assemble_weights
@@ -97,6 +100,7 @@ class SolverConfig:
     initial: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
+        require_integer(self.n_steps, "n_steps")
         if not 0.0 < self.T < np.inf:
             raise ValidationError(f"T = {self.T} is not in (0, inf)")
         if self.n_steps < 1:
@@ -153,17 +157,6 @@ class SolutionHistory:
         full = np.zeros((len(coefficients), self.initial.size))
         full[:, self.modes] = coefficients
         return dst1(full) * (2.0 / self.config.mesh.m_cells)
-
-
-class ModeSet(NamedTuple):
-    """Sine modes marched together on one time grid (see _march): mode
-    k has eigenvalues lam_mass[k], lam_stiff[k], start value dst1(U_0)[k]."""
-
-    tau: float
-    n_steps: int
-    lam_mass: np.ndarray
-    lam_stiff: np.ndarray
-    start: np.ndarray
 
 
 def solve(config: SolverConfig) -> SolutionHistory:
@@ -236,7 +229,7 @@ def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
                   odd_only: bool = False):
     """SolutionHistory of each config, None where its run failed: the
-    configs share tau and N and march as one ModeSet (see
+    configs share tau and N and their modes march as one set (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
     Only the odd modes march if `odd_only`, or if every nodal U_0 is
@@ -252,8 +245,8 @@ def _march_meshes(configs: list, implicit: float,
         starts = [dst1(u0)[modes] for u0 in initial]
     edges = np.cumsum([0] + [u.size for u in starts])
     start = np.concatenate(starts)
-    history = _march(ModeSet(tau, N, lam_mass, lam_stiff, start),
-                     implicit, memory, first)
+    history = _march(lam_mass, lam_stiff, start, tau, N, implicit, memory,
+                     first)
     alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
     if not alive.any():  # the first row where every config is non-finite
         n = np.logical_or.reduceat(~np.isfinite(history), edges[:-1],
@@ -269,10 +262,12 @@ def _march_meshes(configs: list, implicit: float,
                                                   edges[1:], alive)]
 
 
-def _march(modes: ModeSet, implicit: float,
+def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
+           tau: float, N: int, implicit: float,
            memory: Optional[np.ndarray] = None,
            first: int = 1) -> np.ndarray:
-    """Step n = 1..N from modes.start, B steps per block.
+    """Step n = 1..N from start, B steps per block: mode k has
+    eigenvalues lam_mass[k], lam_stiff[k] and start value dst1(U_0)[k].
 
     memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
     entry 0 is never read (its share sits in `implicit`, which must be
@@ -282,17 +277,16 @@ def _march(modes: ModeSet, implicit: float,
     with the lag matrix C (module doc).
     Returns the (N+1) x modes history, for the caller to judge.
     """
-    tau, N = modes.tau, modes.n_steps
     if not implicit > 0.0:
         raise SolverError(f"implicit memory coefficient {implicit} <= 0 at "
                           f"tau = {tau}; refine the time step")
-    denom = modes.lam_mass / tau + implicit * modes.lam_stiff
-    decay = modes.lam_mass / (tau * denom)
+    denom = lam_mass / tau + implicit * lam_stiff
+    decay = lam_mass / (tau * denom)
     # a product with 1/denom: "/ denom" would move the outputs' last bits
-    gain = modes.lam_stiff * (1.0 / denom)
+    gain = lam_stiff * (1.0 / denom)
     size, half = min(_BLOCK_ROWS, N), min(_BLOCK_ROWS // 2, N)
-    history = np.empty((N + 1, modes.start.size))
-    history[0] = modes.start
+    history = np.empty((N + 1, start.size))
+    history[0] = start
 
     lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
     if memory is not None:
@@ -387,24 +381,10 @@ def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
 _ODD_MODES = slice(None, None, 2)
 
 
-def _midpoint_series(config: SolverConfig, implicit: float,
-                     memory: Optional[np.ndarray] = None,
-                     first: int = 1) -> np.ndarray:
-    """sample_series(run, 0.5) of the run that _march_meshes([config],
-    implicit, memory, first) makes, marching only the odd modes (module
-    doc).  The P1 weight of an even mode at 1/2 (node M/2 for even M,
-    the mean of the two centre nodes for odd M) is exactly 0, so the
-    modes are picked by parity: dst1 leaves the computed weights at
-    rounding level, not 0 (2.2e-18 at M = 100).  The run is judged on
-    its odd modes alone.
-    """
-    return sample_series(_march_meshes([config], implicit, memory, first,
-                                       odd_only=True)[0], 0.5)
-
-
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
     """Piecewise-linear value of snapshot n at position x in [0, 1]:
     entry n of sample_series(history, x)."""
+    require_integer(n, "snapshot index")
     if not 0 <= n <= history.n_steps:
         raise ValidationError(
             f"snapshot index {n} outside 0..{history.n_steps}")

@@ -27,7 +27,7 @@ assemble_weights returns that lag vector.
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_integer
 from .exponents import VariableExponent
 from .kernel import smooth_factor
 from .special import gamma
@@ -56,6 +56,7 @@ def assemble_weights(n_steps: int, tau: float,
     the weights evaluated, and the first lag whose weight is not finite
     raises SolverError naming it.
     """
+    require_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValidationError(f"need at least one step, got {n_steps}")
     if 8 * int(n_steps) > np.iinfo(np.intp).max:  # numpy cannot size it

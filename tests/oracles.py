@@ -258,7 +258,7 @@ def dense_history(mesh, tau, n_steps, initial, implicit=1.0, weight=None):
 def direct_march(config, implicit, memory=None, first=1) -> np.ndarray:
     """Nodal snapshots U_0..U_N of the marcher's scheme, one step at a time.
 
-    Same arguments and scheme as msdiff.stepper._march: mode k of the
+    The scheme of msdiff.stepper._march on config's mesh: mode k of the
     sine coefficients u_n = dst1(U_n) obeys
 
         d_k u_n = (lam^M_k / tau) u_{n-1}
@@ -335,6 +335,22 @@ def cq_integral_form(lam_mass, lam_stiff, start, tau, n_steps,
             v.append((float(u0) - g * history) / (1.0 + g))
         rows.append(v)
     return np.array(rows).T
+
+
+def mittag_leffler_mode(alpha, lam, t) -> float:
+    """E_{1-alpha}(-lam t^(1-alpha)), the exact coefficient at time t of
+    a sine mode with lam = lam^A_k / lam^M_k and value 1 at t = 0 under
+    the constant-order model v' + lam d^alpha_RL v = 0.
+
+    Its Laplace transform is s^(b-1) / (s^b + lam) with b = 1 - alpha,
+    inverted by mpmath's Talbot contour at 30 digits; at alpha = 0.4
+    this equals the 250-digit power series sum_j (-lam t^b)^j /
+    Gamma(b j + 1) to the double at t = 1 and at t = 8.
+    """
+    b = 1.0 - alpha
+    with mpmath.workdps(30):
+        return float(mpmath.invertlaplace(
+            lambda s: s ** (b - 1) / (s ** b + lam), t, method="talbot"))
 
 
 def _volterra_trapezoid(alpha, lam, T, n_steps) -> np.ndarray:

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import figure_transition_exponent, zero_exponent
-from msdiff.fem import Mesh1D, discrete_l2_norm
+from msdiff.fem import Mesh1D, discrete_l2_norm, sine_eigenvalues
 from msdiff.reference import (cq_weights, constant_subdiffusion_solve,
                               figure_transition_profiles, heat_solve, sin_pi)
-from msdiff.stepper import ModeSet, SolverConfig, _march, sample_series, solve
+from msdiff.stepper import SolverConfig, _march, sample_series, solve
 
 from conftest import u0_sine
-from oracles import cq_integral_form, scalar_march
+from oracles import cq_integral_form, mittag_leffler_mode, scalar_march
 
 
 def test_heat_solver_tracks_separable_solution(exp_zero):
@@ -104,11 +104,10 @@ def test_constant_order_march_is_a_scaled_integral_form_cq(modes, N, alpha,
     lam_mass, lam_stiff, start = map(np.array, zip(*modes))
     scale = tau ** -alpha
     memory = scale * cq_weights(alpha, N)
-    got = _march(ModeSet(tau, N, lam_mass, lam_stiff, start), scale,
-                 memory, first=0)[1:]
+    march = (tau, N, scale, memory, 0)
+    got = _march(lam_mass, lam_stiff, start, *march)[1:]
     c = 1.0 + lam_stiff / lam_mass * tau ** (1.0 - alpha)
-    for want in (scalar_march(lam_mass, lam_stiff, start / c, tau, N, scale,
-                              memory, first=0),
+    for want in (scalar_march(lam_mass, lam_stiff, start / c, *march),
                  cq_integral_form(lam_mass, lam_stiff, start, tau, N, alpha)):
         want = c * want[1:]
         assert np.all(np.abs(got - want)
@@ -134,6 +133,21 @@ def test_comparison_series_properties():
     tail = t >= 4.0
     assert np.all(series.heat[tail] <= series.multiscale[tail] + 1e-15)
     assert np.all(series.multiscale[tail] <= series.subdiffusion[tail] + 1e-15)
+
+
+def test_figure_subdiffusion_is_54_percent_above_its_exact_curve():
+    # figure1's size (T = 8, N = 1024, M = 128): the constant-order
+    # series over its Mittag-Leffler truth E_0.6(-lam t^0.6), lam =
+    # lam^A_1 / lam^M_1, measured 1.5356, 1.5363, 1.5367 and 1.5368 at
+    # t = 1, 2, 4, 8, below the factor 1 + lam tau^0.6 = 1.537 of its
+    # rows (reference module); band 1.535-1.538
+    series = figure_transition_profiles(T=8.0, alpha_end=0.4, n_steps=1024,
+                                        m_cells=128)
+    lam_mass, lam_stiff = sine_eigenvalues(Mesh1D(128))
+    for n in (128, 256, 512, 1024):
+        truth = mittag_leffler_mode(0.4, lam_stiff[0] / lam_mass[0],
+                                    series.times[n])
+        assert 1.535 <= series.subdiffusion[n] / truth <= 1.538, n
 
 
 def test_comparison_rejects_bad_terminal_exponent():

@@ -23,9 +23,9 @@ from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
 from msdiff.harness import INITIAL_DATA
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve, sin_pi)
-from msdiff.stepper import (_BLOCK_ROWS, _ODD_MODES, ModeSet, SolverConfig,
-                            _march, _march_meshes, sample_series,
-                            sample_solution, solve, solve_ladder)
+from msdiff.stepper import (_BLOCK_ROWS, _ODD_MODES, SolverConfig, _march,
+                            _march_meshes, sample_series, sample_solution,
+                            solve, solve_ladder)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
@@ -50,6 +50,31 @@ def test_config_validation(exp_zero):
     cfg = SolverConfig(T=1.0, n_steps=8, mesh=Mesh1D(4), exponent=exp_zero,
                        initial=u0_sine)
     assert cfg.tau * cfg.n_steps == pytest.approx(1.0, abs=1e-15)
+
+
+def _sized(value):
+    """The five library entry points that take a size or an index."""
+    exp = example_exponent_1(1.0)
+    run = solve(SolverConfig(T=1.0, n_steps=8, mesh=Mesh1D(4), exponent=exp,
+                             initial=u0_sine))
+    return {"Mesh1D": lambda: Mesh1D(value),
+            "SolverConfig": lambda: SolverConfig(
+                T=1.0, n_steps=value, mesh=Mesh1D(4), exponent=exp,
+                initial=u0_sine),
+            "assemble_weights": lambda: assemble_weights(value, 0.125, exp),
+            "cq_weights": lambda: cq_weights(0.4, value),
+            "sample_solution": lambda: sample_solution(run, 0.5, value)}
+
+
+@pytest.mark.parametrize("name", sorted(_sized(8)))
+def test_sizes_and_indices_must_be_integers(name):
+    # unchecked, 8.5 cells make a mesh of 8 nodes at spacing 1/8.5 and
+    # 16.5 steps make 17 lags: a non-integral size or index is refused,
+    # not truncated, while numpy integers pass
+    for bad in (8.5, 8.0, "8", None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            _sized(bad)[name]()
+    _sized(np.int64(8))[name]()
 
 
 def test_scaled_data_scales_the_run(exp_ex1):
@@ -229,11 +254,9 @@ def test_mode_set_marcher_matches_scalar_recurrence(N, first, modes, name,
     else:
         implicit = tau ** -alpha
         memory = implicit * cq_weights(alpha, N)
-    lam_mass, lam_stiff, start = map(np.array, zip(*modes))
-    got = _march(ModeSet(tau, N, lam_mass, lam_stiff, start), implicit,
-                 memory, first)
-    want = scalar_march(lam_mass, lam_stiff, start, tau, N, implicit,
-                        memory, first)
+    args = (*map(np.array, zip(*modes)), tau, N, implicit, memory, first)
+    got = _march(*args)
+    want = scalar_march(*args)
     assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -315,9 +338,9 @@ def _marched_sizes():
     """The number of modes of each march made inside the block."""
     sizes, march = [], stepper._march
 
-    def spy(modes, *args):
-        sizes.append(modes.start.size)
-        return march(modes, *args)
+    def spy(lam_mass, lam_stiff, start, *args):
+        sizes.append(start.size)
+        return march(lam_mass, lam_stiff, start, *args)
 
     with unittest.mock.patch.object(stepper, "_march", spy):
         yield sizes
