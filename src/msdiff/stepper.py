@@ -48,7 +48,10 @@ is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
 because the memory term needs it anyway).  Modes never mix, so the
 marcher takes the eigenvalues and start values of the modes of one or
 more meshes on one time grid; `solve_ladder` marches the meshes of a
-ladder that share N as one set.  A mesh is judged once, by row N,
+ladder that share N as one set.  Neither those arrays (`_mesh_modes`)
+nor the exponent at the lags (`weights.exponent_factors`) depend on
+tau, so a ladder computes each once and only the weights' closed form
+in tau is per level.  A mesh is judged once, by row N,
 which any non-finite value reaches (decay > 0 carries it on, and so do
 the half-block products): it drops out alone, and SolverError, naming
 a block of steps, comes once none is left.  A run stays in the sine
@@ -85,7 +88,7 @@ import numpy as np
 from .errors import SolverError, ValidationError, require_integer
 from .exponents import VariableExponent, validate_assumption_a
 from .fem import Mesh1D, dst1, ritz_projection, sine_eigenvalues
-from .weights import assemble_weights
+from .weights import assemble_weights, closed_form_lags, exponent_factors
 
 
 @dataclass
@@ -172,12 +175,11 @@ def solve(config: SolverConfig) -> SolutionHistory:
     return _march_meshes([config], *_multiscale_terms(config))[0]
 
 
-def _multiscale_terms(config: SolverConfig, validate: bool = True) -> tuple:
+def _multiscale_terms(config: SolverConfig) -> tuple:
     """(implicit, memory, first) of the multiscale model for _march:
-    1 + lag[0], the lag vector of memory weights and 1.  Validates the
-    exponent first unless the caller has already done so."""
-    if validate:
-        validate_assumption_a(config.exponent, config.T)
+    1 + lag[0], the lag vector of memory weights and 1, after the
+    exponent is validated."""
+    validate_assumption_a(config.exponent, config.T)
     lag = assemble_weights(config.n_steps, config.tau, config.exponent)
     return 1.0 + lag[0], lag, 1
 
@@ -185,10 +187,17 @@ def _multiscale_terms(config: SolverConfig, validate: bool = True) -> tuple:
 def solve_ladder(configs: list) -> list:
     """Final nodal values of each config of a ladder; None where it failed.
 
-    The configs share T and exponent (else ValidationError).
-    The exponent is validated once; the configs of one N march as one
-    mode set and match solve(config).final() to rounding, or give None,
-    each alone, where solve raises SolverError.
+    The configs share T and exponent (else ValidationError).  What does
+    not depend on the step count is done once per ladder: the exponent
+    is validated once; its factors (weights.exponent_factors) are
+    evaluated once per chain of step counts N = o 2^k that share the odd
+    part o, on the lags of the chain's largest N, of which level N reads
+    every (N_top / N)-th entry, exactly its own; and the modes of each
+    distinct list of (mesh, initial) are set up once.  Each level's
+    weights are checked as assemble_weights checks them alone.  The
+    configs of one N march as one mode set and match
+    solve(config).final() to rounding (bit for bit when N has one
+    config), or give None, each alone, where solve raises SolverError.
     """
     for i, c in enumerate(configs):
         differ = [key for key in ("T", "exponent")
@@ -196,14 +205,25 @@ def solve_ladder(configs: list) -> list:
         if differ:
             raise ValidationError(f"ladder config {i} differs from config 0 "
                                   f"in {', '.join(differ)}")
-    validate_assumption_a(configs[0].exponent, configs[0].T)
-    finals = [None] * len(configs)
-    for n_steps in sorted({c.n_steps for c in configs}):
+    T, exp = configs[0].T, configs[0].exponent
+    validate_assumption_a(exp, T)
+    steps = sorted({c.n_steps for c in configs})
+    top = {n // (n & -n): n for n in steps}  # odd part -> largest N
+    factors = {n: exponent_factors(T / n * np.arange(n), exp)
+               for n in top.values()}
+    setups, finals = {}, [None] * len(configs)
+    for n_steps in steps:
         picked = [i for i, c in enumerate(configs) if c.n_steps == n_steps]
         group = [configs[i] for i in picked]
+        finest = top[n_steps // (n_steps & -n_steps)]
+        key = tuple((c.mesh, c.initial) for c in group)
         try:
-            runs = _march_meshes(
-                group, *_multiscale_terms(group[0], validate=False))
+            lag = closed_form_lags(group[0].tau, *(
+                f[::finest // n_steps] for f in factors[finest]))
+            if key not in setups:
+                setups[key] = _mesh_modes(group)
+            runs = _march_meshes(group, 1.0 + lag[0], lag, 1,
+                                 setup=setups[key])
         except SolverError:
             continue
         for i, run in zip(picked, runs):
@@ -227,24 +247,16 @@ _BLOCK_ROWS = 32
 
 def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
-                  odd_only: bool = False):
+                  odd_only: bool = False, setup: Optional[tuple] = None):
     """SolutionHistory of each config, None where its run failed: the
     configs share tau and N and their modes march as one set (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    Only the odd modes march if `odd_only`, or if every nodal U_0 is
-    exactly symmetric (module doc); each history holds the columns that
-    marched."""
+    `setup` is _mesh_modes(configs, odd_only), computed here if None;
+    each history holds the columns that marched."""
     tau, N = configs[0].tau, configs[0].n_steps
-    initial = [ritz_projection(c.mesh, c.initial) for c in configs]
-    symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
-    modes = _ODD_MODES if odd_only or symmetric else slice(None)
-    lam_mass, lam_stiff = map(np.concatenate, zip(
-        *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        starts = [dst1(u0)[modes] for u0 in initial]
-    edges = np.cumsum([0] + [u.size for u in starts])
-    start = np.concatenate(starts)
+    initial, modes, lam_mass, lam_stiff, start, edges = (
+        _mesh_modes(configs, odd_only) if setup is None else setup)
     history = _march(lam_mass, lam_stiff, start, tau, N, implicit, memory,
                      first)
     alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
@@ -260,6 +272,25 @@ def _march_meshes(configs: list, implicit: float,
     return [SolutionHistory(c, history[:, lo:hi], u, modes) if ok
             else None for c, u, lo, hi, ok in zip(configs, initial, edges,
                                                   edges[1:], alive)]
+
+
+def _mesh_modes(configs: list, odd_only: bool = False) -> tuple:
+    """What a march of the configs' modes needs that does not depend on
+    tau or N: (initial, modes, lam_mass, lam_stiff, start, edges), the
+    nodal U_0 of each config, the dst1 columns that march, their
+    eigenvalues and dst1(U_0) values side by side, and the bounds of
+    each config's columns.  Only the odd modes march if `odd_only`, or
+    if every nodal U_0 is exactly symmetric (module doc)."""
+    initial = [ritz_projection(c.mesh, c.initial) for c in configs]
+    symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
+    modes = _ODD_MODES if odd_only or symmetric else slice(None)
+    lam_mass, lam_stiff = map(np.concatenate, zip(
+        *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = [dst1(u0)[modes] for u0 in initial]
+    edges = np.cumsum([0] + [u.size for u in starts])
+    return (initial, modes, lam_mass, lam_stiff, np.concatenate(starts),
+            edges)
 
 
 def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,

@@ -16,8 +16,9 @@ from scipy.special import binom
 from msdiff import stepper
 from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
-from msdiff.exponents import (example_exponent_1, example_exponent_2,
-                              exponent_by_name)
+from msdiff.exponents import (VariableExponent, example_exponent_1,
+                              example_exponent_2, exponent_by_name,
+                              tabulated_exponent)
 from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
                         sine_eigenvalues)
 from msdiff.harness import INITIAL_DATA
@@ -32,6 +33,7 @@ from conftest import u0_quartic, u0_sine
 from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
                      dense_gauss_solve, dense_history, direct_march,
                      mp_lag_weights, mp_march, scalar_march)
+from test_properties import spline_tables
 
 B = _BLOCK_ROWS
 H = B // 2  # rows of a half block
@@ -757,6 +759,128 @@ def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
                            match=f"ladder config 2 differs from config 0 "
                                  f"in {name}$"):
             solve_ladder(same + [odd])
+
+
+_CHAINS = {  # step counts of a ladder: two odd-part chains, and a mix
+    "64..2048": [64 * 2 ** k for k in range(6)],
+    "6..48": [6, 12, 24, 48],
+    "mixed": [10, 12, 20, 24],
+}
+
+
+def _ladder_lags(exp, T, steps):
+    """{N: the memory vector solve_ladder marches N steps with}; the
+    exponent is not validated and nothing marches."""
+    lags = {}
+
+    def spy(group, implicit, memory, first, **kwargs):
+        assert implicit == 1.0 + memory[0] and first == 1
+        lags[group[0].n_steps] = memory
+        return [None] * len(group)
+
+    configs = [SolverConfig(T=T, n_steps=n, mesh=Mesh1D(4), exponent=exp,
+                            initial=u0_sine) for n in steps]
+    with unittest.mock.patch.object(stepper, "validate_assumption_a",
+                                    lambda *args: None), \
+            unittest.mock.patch.object(stepper, "_march_meshes", spy):
+        solve_ladder(configs)
+    return lags
+
+
+def _assert_ladder_lags_are_exact(exp, T):
+    # a ladder evaluates the exponent once per odd-part chain, on the
+    # finest grid; every level's lags must still be its own, bit for bit
+    for steps in _CHAINS.values():
+        lags = _ladder_lags(exp, T, steps)
+        for n in steps:
+            try:
+                want = assemble_weights(n, T / n, exp)
+            except SolverError:
+                assert n not in lags
+                continue
+            assert np.array_equal(lags[n], want), (T, n)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.7, 3.0])
+@pytest.mark.parametrize("name", ["exp-example1", "exp-example2",
+                                  "exp-figure1"])
+def test_ladder_lags_equal_each_level_alone(name, T):
+    _assert_ladder_lags_are_exact(exponent_by_name(name, T, 0.4), T)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(table=spline_tables())
+def test_ladder_lags_equal_each_level_alone_on_splines(table):
+    times, values = table
+    exp = tabulated_exponent(3.0 * times / times[-1], values)  # on [0, 3]
+    for T in (1.0, 0.7, 3.0):
+        _assert_ladder_lags_are_exact(exp, T)
+
+
+_TIME_LADDERS = {  # exponent, T, u0, M and step counts of a time study
+    "table1-time": ("exp-example1", 1.0, "sin-pi", 32,
+                    [64 * 2 ** k for k in range(6)]),
+    "table2-time": ("exp-example2", 1.0, "poly-x2-1mx2", 32,
+                    [64 * 2 ** k for k in range(6)]),
+    "ex1-T0.7": ("exp-example1", 0.7, "sin-pi", 12,
+                 [48 * 2 ** k for k in range(5)]),
+    "figure1-T3": ("exp-figure1", 3.0, "sin-pi", 7,
+                   [5 * 2 ** k for k in range(7)]),
+}
+
+
+@pytest.mark.parametrize("ladder", sorted(_TIME_LADDERS))
+def test_time_ladder_finals_equal_separate_solves(ladder):
+    # one config per N: its march is the one solve makes, so the ladder's
+    # final values are solve's bit for bit
+    name, T, u0, m, steps = _TIME_LADDERS[ladder]
+    exp = exponent_by_name(name, T, 0.4)
+    configs = [SolverConfig(T=T, n_steps=n, mesh=Mesh1D(m), exponent=exp,
+                            initial=INITIAL_DATA[u0]) for n in steps]
+    for cfg, got in zip(configs, solve_ladder(configs)):
+        assert np.array_equal(got, solve(cfg).final()), cfg.n_steps
+
+
+def test_each_ladder_level_fails_as_it_would_alone():
+    # alpha = 1 only at the lag 3/16, which only the 16-step level reads:
+    # the ladder evaluates the exponent on that level's grid, but the
+    # coarser levels must weigh and march as they would alone, and the
+    # 16-step level must fail with the words of its own assemble_weights
+    def alpha(t):
+        t = np.asarray(t, float)
+        return np.where(t == 3.0 / 16.0, 1.0, 0.5 * t)
+
+    probe = VariableExponent(
+        name="probe", alpha=alpha,
+        alpha_d1=lambda t: 0.5 + 0.0 * np.asarray(t, float),
+        alpha_d2=lambda t: 0.0 * np.asarray(t, float),
+        alpha_star=0.5, deriv_bound=1.0)
+    configs = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(8), exponent=probe,
+                            initial=u0_sine) for n in (4, 8, 16)]
+    with pytest.raises(SolverError) as alone:
+        assemble_weights(16, 1.0 / 16, probe)
+    seen, closed_form = {}, stepper.closed_form_lags
+
+    def spy(tau, *factors):
+        try:
+            seen[factors[0].size] = closed_form(tau, *factors)
+        except SolverError as err:
+            seen[factors[0].size] = str(err)
+            raise
+        return seen[factors[0].size]
+
+    with unittest.mock.patch.object(stepper, "validate_assumption_a",
+                                    lambda *args: None), \
+            unittest.mock.patch.object(stepper, "closed_form_lags", spy):
+        finals = solve_ladder(configs)
+        wants = [solve(cfg).final() for cfg in configs[:2]]
+    for n in (4, 8):
+        assert np.array_equal(seen[n], assemble_weights(n, 1.0 / n, probe))
+    assert seen[16] == str(alone.value)
+    assert "at lag 3 " in seen[16]
+    assert finals[2] is None
+    for got, want in zip(finals, wants):
+        assert np.array_equal(got, want)
 
 
 def test_exact_heat_benchmark_temporal_rate(exp_zero):
