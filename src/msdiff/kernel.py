@@ -58,10 +58,16 @@ def smooth_factor(exp: VariableExponent, t):
     if not np.all(t >= 0.0):
         raise ValidationError(f"smooth_factor requires t >= 0, got "
                               f"{np.min(t)}")
-    a = exp.alpha(t)
+    return smooth_factor_of(t, exp.alpha(t), exp.alpha_d1(t),
+                            exp.alpha_d1(0.0))[()]
+
+
+def smooth_factor_of(t, a, d1, d1_zero):
+    """R(t) of smooth_factor from the values a = alpha(t), d1 = alpha'(t)
+    and d1_zero = alpha'(0) in hand; t >= 0 is not checked."""
     near = t < _RATIO_LIMIT_TIME
-    ratio = np.where(near, exp.alpha_d1(0.0), a / np.where(near, 1.0, t))
-    return (-ratio + digamma(1.0 - a) * exp.alpha_d1(t))[()]
+    ratio = np.where(near, d1_zero, a / np.where(near, 1.0, t))
+    return -ratio + digamma(1.0 - a) * d1
 
 
 def log_derivative_factor(exp: VariableExponent, t):

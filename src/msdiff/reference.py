@@ -18,11 +18,10 @@ import numpy as np
 from .errors import ValidationError, require_integer
 from .exponents import figure_transition_exponent
 from .fem import Mesh1D
-# solve and sample_solution are not called here, but perfbench/spans.py
-# traces them under this module's name
+# sample_solution is not called here, but perfbench/spans.py traces it
+# under this module's name
 from .stepper import (SolverConfig, SolutionHistory,  # noqa: F401
-                      _march_meshes, _multiscale_terms, sample_series,
-                      sample_solution, solve)
+                      _march_meshes, sample_series, sample_solution, solve)
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
@@ -31,12 +30,7 @@ def heat_solve(config: SolverConfig) -> SolutionHistory:
     Ignores config.exponent; with a zero exponent the multiscale
     stepper must reproduce this history to roundoff.
     """
-    return _march_meshes([config], *_heat_terms(config))[0]
-
-
-def _heat_terms(config: SolverConfig) -> tuple:
-    """(implicit, memory, first) of heat flow for stepper._march."""
-    return 1.0, None, 1
+    return _march_meshes([config], 1.0)[0]
 
 
 def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
@@ -67,15 +61,9 @@ def constant_subdiffusion_solve(config: SolverConfig,
     v + lam_k I^(1-a) v = v(0) from U_0 / c_k (lam_k = lam^A_k / lam^M_k),
     so the error falls like tau^(1-a); 54% in figure1 at N = 1024.
     """
-    return _march_meshes([config], *_cq_terms(config, alpha_bar))[0]
-
-
-def _cq_terms(config: SolverConfig, alpha_bar: float) -> tuple:
-    """(implicit, memory, first) of constant-order subdiffusion for
-    stepper._march: tau^-a, tau^-a times the CQ weights, and 0."""
     weights = cq_weights(alpha_bar, config.n_steps)
     scale = config.tau ** (-alpha_bar)
-    return scale, scale * weights, 0
+    return _march_meshes([config], scale, scale * weights, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -107,22 +95,20 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     """Solve heat, multiscale (ramp exponent) and constant-order models.
 
     alpha_end is both the terminal value of the ramp and the constant
-    order of the comparison model.  Returns the centre-point series of
-    all three runs, each equal to sample_series(run, 0.5) of the full
-    run to rounding; each run is sampled and dropped before the next.
-    Every run marches only the odd sine modes k = 1, 3, 5, ...: an even
-    mode sin(k pi x) is odd about x = 1/2, so its P1 interpolant is 0
-    there and cannot reach the series.  That halves the solves, the
-    history product and the history memory; a run fails (SolverError)
-    only if its odd modes do.
+    order of the comparison model.  Returns sample_series(run, 0.5) of
+    solve, heat_solve and constant_subdiffusion_solve on one config;
+    each run is sampled and dropped before the next.  The runs march as
+    the stepper module doc says: only the odd sine modes if the nodal
+    data is exactly symmetric about 1/2 (sin-pi on M = 2^k cells), else
+    every mode.  That costs asymmetric data (CSV tables, built-in data
+    on most M) 1.55-1.75x the time at N = 1024, M = 100..128, and twice
+    the history memory.
     """
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),
                           initial=initial)
-    models = (_multiscale_terms(config), _heat_terms(config),
-              _cq_terms(config, alpha_end))
-    multi, heat, sub = (
-        sample_series(_march_meshes([config], *terms, odd_only=True)[0], 0.5)
-        for terms in models)
+    runs = (solve, heat_solve,
+            lambda c: constant_subdiffusion_solve(c, alpha_end))
+    multi, heat, sub = (sample_series(run(config), 0.5) for run in runs)
     return ComparisonSeries(config.tau * np.arange(n_steps + 1), heat, multi,
                             sub)

@@ -58,25 +58,20 @@ a block of steps, comes once none is left.  A run stays in the sine
 basis; `SolutionHistory` and the samplers transform back only what is
 read.
 
-Two rules march only the odd modes k = 1, 3, 5, ..., halving the
-solves, the history product and the history memory.  An even mode
-sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
-
-- a run read only at x = 1/2, as each run of the transition figure is
-  (`reference.figure_transition_profiles`, which asks for `odd_only`),
-  does not need it: its P1 weight there (node M/2 for even M, the mean
-  of the two centre nodes for odd M) is exactly 0;
-- a run whose nodal U_0 is exactly symmetric (every config of a
-  ladder's march) starts it at zero, and modes never mix,
-  so it stays zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2
-  use, is symmetric bit for bit on M = 2^k cells.  Its history holds
-  the odd columns only, and `SolutionHistory` fills in the zeros when
-  it transforms back.
+One rule marches only the odd modes k = 1, 3, 5, ..., halving the
+solves, the history product and the history memory: a march does so
+when the nodal U_0 of every config is exactly symmetric about x = 1/2.
+An even mode sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
+symmetric data starts it at zero, and modes never mix, so it stays
+zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2 and the
+transition figure use, is symmetric bit for bit on M = 2^k cells.  Its
+history holds the odd columns only, and `SolutionHistory` fills in the
+zeros when it transforms back.  Data that is not symmetric bit for bit
+(the built-in data on most other M, most CSV tables) marches every mode.
 
 The modes are picked by parity, never by testing coefficients for
-zero: dst1 leaves an even coefficient of symmetric data, and an even
-mode's computed weight at 1/2, at rounding level (2.2e-18 at M = 100).
-A run that marched only its odd modes is judged on them alone.
+zero: dst1 leaves an even coefficient of symmetric data at rounding
+level.  A run that marched only its odd modes is judged on them alone.
 """
 
 from dataclasses import dataclass, field
@@ -172,16 +167,9 @@ def solve(config: SolverConfig) -> SolutionHistory:
     step check; the README says why the sufficient
     1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced.
     """
-    return _march_meshes([config], *_multiscale_terms(config))[0]
-
-
-def _multiscale_terms(config: SolverConfig) -> tuple:
-    """(implicit, memory, first) of the multiscale model for _march:
-    1 + lag[0], the lag vector of memory weights and 1, after the
-    exponent is validated."""
     validate_assumption_a(config.exponent, config.T)
     lag = assemble_weights(config.n_steps, config.tau, config.exponent)
-    return 1.0 + lag[0], lag, 1
+    return _march_meshes([config], 1.0 + lag[0], lag, 1)[0]
 
 
 def solve_ladder(configs: list) -> list:
@@ -247,16 +235,16 @@ _BLOCK_ROWS = 32
 
 def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
-                  odd_only: bool = False, setup: Optional[tuple] = None):
+                  setup: Optional[tuple] = None):
     """SolutionHistory of each config, None where its run failed: the
     configs share tau and N and their modes march as one set (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    `setup` is _mesh_modes(configs, odd_only), computed here if None;
+    `setup` is _mesh_modes(configs), computed here if None;
     each history holds the columns that marched."""
     tau, N = configs[0].tau, configs[0].n_steps
     initial, modes, lam_mass, lam_stiff, start, edges = (
-        _mesh_modes(configs, odd_only) if setup is None else setup)
+        _mesh_modes(configs) if setup is None else setup)
     history = _march(lam_mass, lam_stiff, start, tau, N, implicit, memory,
                      first)
     alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
@@ -274,16 +262,16 @@ def _march_meshes(configs: list, implicit: float,
                                                   edges[1:], alive)]
 
 
-def _mesh_modes(configs: list, odd_only: bool = False) -> tuple:
+def _mesh_modes(configs: list) -> tuple:
     """What a march of the configs' modes needs that does not depend on
     tau or N: (initial, modes, lam_mass, lam_stiff, start, edges), the
     nodal U_0 of each config, the dst1 columns that march, their
     eigenvalues and dst1(U_0) values side by side, and the bounds of
-    each config's columns.  Only the odd modes march if `odd_only`, or
-    if every nodal U_0 is exactly symmetric (module doc)."""
+    each config's columns.  Only the odd modes march if every nodal U_0
+    is exactly symmetric (module doc)."""
     initial = [ritz_projection(c.mesh, c.initial) for c in configs]
     symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
-    modes = _ODD_MODES if odd_only or symmetric else slice(None)
+    modes = _ODD_MODES if symmetric else slice(None)
     lam_mass, lam_stiff = map(np.concatenate, zip(
         *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
     with np.errstate(over="ignore", invalid="ignore"):

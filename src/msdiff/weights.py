@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError, require_integer
 from .exponents import VariableExponent
-from .kernel import smooth_factor
+from .kernel import smooth_factor_of
 from .special import gamma
 
 
@@ -51,13 +51,16 @@ def assemble_weights(n_steps: int, tau: float,
         raise ValidationError(f"{n_steps} steps are too many to store")
     if not tau > 0.0:
         raise ValidationError(f"step size must be positive, got {tau}")
+    if tau < np.finfo(float).tiny:  # as SolverConfig refuses T/N
+        raise ValidationError(f"step size {tau} underflows")
     return closed_form_lags(tau, *exponent_factors(tau * np.arange(n_steps),
                                                    exp))
 
 
 def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:
     """(alpha, alpha', R, Gamma(1 - alpha)) at the lags d, one exponent
-    call each on the whole array; R is kernel.smooth_factor.
+    call each on the whole array; R is kernel.smooth_factor, computed
+    from those values.
 
     Entries whose Gamma(1 - alpha) is out of range (alpha >= 1, alpha <
     -170 or alpha NaN) hold NaN in R and Gamma, so that evaluating more
@@ -72,7 +75,8 @@ def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:
     ok = _in_gamma_range(one_m)
     smooth, gam = np.full(d.shape, np.nan), np.full(d.shape, np.nan)
     with np.errstate(all="ignore"):
-        smooth[ok] = smooth_factor(exp, d[ok])
+        smooth[ok] = smooth_factor_of(d[ok], a[ok], d1[ok],
+                                      exp.alpha_d1(0.0))
         gam[ok] = gamma(one_m[ok])
     return a, d1, smooth, gam
 

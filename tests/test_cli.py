@@ -262,6 +262,16 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["solve", "weights-dump"])
+def test_a_subnormal_step_exits_2(tmp_path, capsys, kind):
+    # T / N = 3.3e-321 is subnormal: weights-dump printed it with 7
+    # significant digits while solve refused it
+    out = tmp_path / "out.csv"
+    assert main([kind, "--T", "1e-320", "--N", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(" underflows\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,config,code,reason", [
     (["--N", "1", "--M", "2", "--T", "1.5", "--exponent", "exp-example2"],
      None, 3, "implicit memory coefficient -0.474"),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msdiff import reference
+from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import figure_transition_exponent, zero_exponent
 from msdiff.fem import Mesh1D, discrete_l2_norm, sine_eigenvalues
@@ -188,14 +190,14 @@ def _skewed(x):
 @pytest.mark.parametrize("initial", [sin_pi, _skewed])
 @pytest.mark.parametrize("m_cells", [2, 3, 8, 33, 128])
 def test_figure_series_match_full_march_at_midpoint(m_cells, initial):
-    # the figure marches only the odd sine modes; odd M puts x = 1/2
-    # mid-cell, and the skewed data gives the even modes weight
+    # the figure is the three public solves sampled at 1/2; odd M puts
+    # x = 1/2 mid-cell, and the skewed data gives the even modes weight
     args = dict(T=8.0, alpha_end=0.4, n_steps=100, m_cells=m_cells,
                 initial=initial)
     series = figure_transition_profiles(**args)
     got = (series.multiscale, series.heat, series.subdiffusion)
     for fast, full in zip(got, _full_march_series(**args)):
-        assert np.abs(fast - full).max() <= 1e-15 * np.abs(full).max()
+        assert np.array_equal(fast, full)
 
 
 def test_figure_fails_in_the_block_the_full_march_names():
@@ -211,19 +213,40 @@ def test_figure_fails_in_the_block_the_full_march_names():
     assert str(fast.value) == str(full.value)
 
 
-def test_figure_runs_when_only_even_modes_overflow():
-    # sin(2 pi x) vanishes at 1/2; its dst1 coefficient overflows, so
-    # the full march fails, while the odd modes the figure marches stay
-    # at the data's rounding level
+def test_figure_fails_as_heat_solve_when_even_modes_overflow():
+    # sin(2 pi x) vanishes at 1/2 but is not symmetric about it, so every
+    # mode marches and its overflowing dst1 coefficient fails the figure
+    # as it fails heat_solve
     initial = lambda x: 2e307 * np.sin(2.0 * math.pi * np.asarray(x, float))
     config = SolverConfig(T=8.0, n_steps=40, mesh=Mesh1D(33),
                           exponent=zero_exponent(), initial=initial)
-    with pytest.raises(SolverError, match="sine coefficients"):
+    with pytest.raises(SolverError, match="sine coefficients") as heat:
         heat_solve(config)
-    series = figure_transition_profiles(T=8.0, alpha_end=0.4, n_steps=40,
-                                        m_cells=33, initial=initial)
-    for values in (series.heat, series.multiscale, series.subdiffusion):
-        assert np.all(np.abs(values) <= 1e-12 * 2e307)
+    with pytest.raises(SolverError) as figure:
+        figure_transition_profiles(T=8.0, alpha_end=0.4, n_steps=40,
+                                   m_cells=33, initial=initial)
+    assert str(figure.value) == str(heat.value)
+
+
+def test_figure1_calls_each_public_solve_once(monkeypatch, tmp_path):
+    # perfbench/spans.py traces these names on msdiff.reference; a
+    # figure that marched around them would zero its transition spans
+    calls = []
+
+    def spy(name):
+        real = getattr(reference, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("solve", "heat_solve", "constant_subdiffusion_solve"):
+        monkeypatch.setattr(reference, name, spy(name))
+    assert main(["figure1", "--N", "8", "--M", "4",
+                 "--out", str(tmp_path / "figure1.csv")]) == 0
+    assert sorted(calls) == ["constant_subdiffusion_solve", "heat_solve",
+                             "solve"]
 
 
 def test_sin_pi_is_within_one_ulp_at_the_nodes():

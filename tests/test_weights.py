@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from msdiff.errors import SolverError, ValidationError
-from msdiff.exponents import VariableExponent
+from hypothesis import given, settings
+
+from msdiff.exponents import (VariableExponent, example_exponent_1,
+                              example_exponent_2, figure_transition_exponent,
+                              zero_exponent)
 from msdiff.kernel import kernel_prefactor, smooth_factor
 from msdiff.special import EULER_GAMMA
-from msdiff.weights import assemble_weights
+from msdiff.weights import assemble_weights, exponent_factors
 
 from oracles import mp_lag_weights, quad_memory_weight
+from test_properties import admissible_spline, spline_tables
 
 
 # alpha = 0 with alpha' = 1 (a probe, not an admissible exponent): every
@@ -205,3 +210,54 @@ def test_assembly_parameter_validation(exp_ex1):
         assemble_weights(0, 0.1, exp_ex1)
     with pytest.raises(ValidationError):
         assemble_weights(4, 0.0, exp_ex1)
+
+
+def test_a_subnormal_step_is_refused(exp_ex1):
+    # as SolverConfig refuses T / N: M / tau would overflow in a solve
+    for tau in (1e-320 / 3, np.nextafter(np.finfo(float).tiny, 0.0)):
+        with pytest.raises(ValidationError, match=r"^step size .* underflows$"):
+            assemble_weights(3, tau, exp_ex1)
+
+
+_BUILT_IN = [example_exponent_1(1.0), example_exponent_2(1.0),
+             figure_transition_exponent(8.0, 0.4), zero_exponent()]
+
+
+def _counting(exp):
+    """exp, and a dict counting its alpha and alpha' calls on arrays."""
+    calls = {"alpha": 0, "alpha_d1": 0}
+
+    def counted(name):
+        real = getattr(exp, name)
+
+        def call(t):
+            calls[name] += np.ndim(t) > 0
+            return real(t)
+        return call
+
+    return dataclasses.replace(exp, alpha=counted("alpha"),
+                               alpha_d1=counted("alpha_d1")), calls
+
+
+@pytest.mark.parametrize("exp", _BUILT_IN, ids=lambda e: e.name)
+def test_exponent_factors_call_the_exponent_once_per_array(exp):
+    counting, calls = _counting(exp)
+    exponent_factors(0.01 * np.arange(64), counting)
+    assert calls == {"alpha": 1, "alpha_d1": 1}
+
+
+@pytest.mark.parametrize("tau", [0.01, 3e-14], ids=["grid", "below-1e-12"])
+@pytest.mark.parametrize("exp", _BUILT_IN, ids=lambda e: e.name)
+def test_exponent_factors_smooth_part_is_smooth_factor(exp, tau):
+    # 3e-14 puts lags 0..33 under the 1e-12 switch to the alpha'(0) limit
+    d = tau * np.arange(64)
+    assert np.array_equal(exponent_factors(d, exp)[2], smooth_factor(exp, d))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(table=spline_tables())
+def test_exponent_factors_smooth_part_is_smooth_factor_on_splines(table):
+    exp, T = admissible_spline(table)
+    for d in (T / 64 * np.arange(64), 3e-14 * np.arange(64)):
+        assert np.array_equal(exponent_factors(d, exp)[2],
+                              smooth_factor(exp, d))
