@@ -44,8 +44,20 @@ class Mesh1D:
         return self.m_cells - 1
 
     def interior_nodes(self) -> np.ndarray:
-        """x_j = j h for j = 1..M-1."""
-        return self.h * np.arange(1, self.m_cells)
+        """x_j = j/M for j = 1..M-1, mirrored: x_{M-j} == 1 - x_j bit for
+        bit on every M, so data with f(1 - x) == f(x) bit for bit has
+        nodal values exactly symmetric about 1/2.
+
+        j/M is divided, not multiplied out as h * j: only division puts
+        the middle node of an even M at exactly 1/2 (h * 49 on M = 98
+        is 0.49999999999999994).  The right half lies on the 2^-53 grid,
+        so 1 - x there is exact and the left half is its mirror, within
+        2^-54 of j/M.  On M = 2^k the nodes are h * j bit for bit.
+        """
+        x = np.arange(1, self.m_cells) / self.m_cells
+        left = (self.m_cells - 1) // 2
+        x[:left] = 1.0 - x[::-1][:left]
+        return x
 
 
 @dataclass(frozen=True)

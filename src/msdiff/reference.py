@@ -43,6 +43,8 @@ def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
         raise ValidationError(
             f"constant exponent must lie in (0, 1), got {alpha_bar}")
     require_integer(count, "count")
+    if count < 0:
+        raise ValidationError(f"need count >= 0, got {count}")
     j = np.arange(1.0, count + 1.0)
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha_bar) / j)))
 
@@ -82,8 +84,8 @@ def sin_pi(x):
     Evaluated as sin(pi min(x, 1 - x)), which is within 1 ulp of the
     correctly rounded value at the nodes of M = 1024: 1 - x is exact for
     x in [1/2, 1], while np.sin(pi x) there loses the small distance of
-    pi x to pi (up to 373 ulp).  Where 1 - x_j is the node x_{M-j}, as
-    on M = 2^k cells, the nodal data is exactly symmetric about 1/2.
+    pi x to pi (up to 373 ulp).  On the mesh nodes, where 1 - x_j is the
+    node x_{M-j}, the nodal data is exactly symmetric about 1/2.
     """
     x = np.asarray(x, float)
     return np.sin(math.pi * np.minimum(x, 1.0 - x))
@@ -99,10 +101,10 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     solve, heat_solve and constant_subdiffusion_solve on one config;
     each run is sampled and dropped before the next.  The runs march as
     the stepper module doc says: only the odd sine modes if the nodal
-    data is exactly symmetric about 1/2 (sin-pi on M = 2^k cells), else
-    every mode.  That costs asymmetric data (CSV tables, built-in data
-    on most M) 1.55-1.75x the time at N = 1024, M = 100..128, and twice
-    the history memory.
+    data is exactly symmetric about 1/2 (the built-in data on every M),
+    else every mode.  That costs CSV tables and callables whose nodal
+    values are not mirrored 1.55-1.75x the time at N = 1024,
+    M = 100..128, and twice the history memory.
     """
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),

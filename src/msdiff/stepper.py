@@ -63,11 +63,11 @@ solves, the history product and the history memory: a march does so
 when the nodal U_0 of every config is exactly symmetric about x = 1/2.
 An even mode sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
 symmetric data starts it at zero, and modes never mix, so it stays
-zero.  sin-pi and poly-x2-1mx2 data, which Tables 1-2 and the
-transition figure use, is symmetric bit for bit on M = 2^k cells.  Its
-history holds the odd columns only, and `SolutionHistory` fills in the
-zeros when it transforms back.  Data that is not symmetric bit for bit
-(the built-in data on most other M, most CSV tables) marches every mode.
+zero.  The mesh nodes are mirrored bit for bit (Mesh1D.interior_nodes),
+so sin-pi and poly-x2-1mx2 data is symmetric bit for bit on every M.
+Its history holds the odd columns only, and `SolutionHistory` fills in
+the zeros when it transforms back.  Data that is not symmetric bit for
+bit (most CSV tables) marches every mode.
 
 The modes are picked by parity, never by testing coefficients for
 zero: dst1 leaves an even coefficient of symmetric data at rounding

@@ -49,8 +49,8 @@ def assemble_weights(n_steps: int, tau: float,
         raise ValidationError(f"need at least one step, got {n_steps}")
     if 8 * int(n_steps) > np.iinfo(np.intp).max:  # numpy cannot size it
         raise ValidationError(f"{n_steps} steps are too many to store")
-    if not tau > 0.0:
-        raise ValidationError(f"step size must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValidationError(f"step size {tau} is not in (0, inf)")
     if tau < np.finfo(float).tiny:  # as SolverConfig refuses T/N
         raise ValidationError(f"step size {tau} underflows")
     return closed_form_lags(tau, *exponent_factors(tau * np.arange(n_steps),

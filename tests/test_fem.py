@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,24 @@ def test_mesh_basics():
     assert nodes[-1] == pytest.approx(1.0 - mesh.h)
     with pytest.raises(ValidationError):
         Mesh1D(1)
+
+
+def test_interior_nodes_are_mirrored_on_every_mesh():
+    # x_{M-j} == 1 - x_j bit for bit, so data symmetric about 1/2 has
+    # symmetric nodal values on every M
+    for m in range(2, 1025):
+        x = Mesh1D(m).interior_nodes()
+        assert np.array_equal(1.0 - x, x[::-1]), m
+    # each node is within 2^-54 of j/M (exactly, in rationals)
+    for m in range(2, 257):
+        x = Mesh1D(m).interior_nodes().tolist()
+        assert max(abs(Fraction(v) - Fraction(j, m))
+                   for j, v in enumerate(x, 1)) <= Fraction(1, 2 ** 54), m
+    # on M = 2^k they are the products j h of a plain grid
+    for k in range(1, 14):
+        mesh = Mesh1D(2 ** k)
+        assert np.array_equal(mesh.interior_nodes(),
+                              mesh.h * np.arange(1, mesh.m_cells)), k
 
 
 def test_mass_matrix_entries():

@@ -11,7 +11,9 @@ from msdiff import reference
 from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import figure_transition_exponent, zero_exponent
-from msdiff.fem import Mesh1D, discrete_l2_norm, sine_eigenvalues
+from msdiff.fem import (Mesh1D, discrete_l2_norm, ritz_projection,
+                        sine_eigenvalues)
+from msdiff.harness import INITIAL_DATA
 from msdiff.reference import (cq_weights, constant_subdiffusion_solve,
                               figure_transition_profiles, heat_solve, sin_pi)
 from msdiff.stepper import SolverConfig, _march, sample_series, solve
@@ -70,6 +72,8 @@ def test_cq_weights_signs_and_partial_sums():
 def test_cq_rejects_bad_order():
     with pytest.raises(ValidationError):
         cq_weights(1.2, 4)
+    with pytest.raises(ValidationError, match=r"^need count >= 0, got -3$"):
+        cq_weights(0.4, -3)
     with pytest.raises(ValidationError):
         constant_subdiffusion_solve(
             SolverConfig(T=1.0, n_steps=4, mesh=Mesh1D(4),
@@ -260,9 +264,18 @@ def test_sin_pi_is_within_one_ulp_at_the_nodes():
     assert sin_pi(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
 
+def test_built_in_data_is_symmetric_on_every_mesh():
+    # the nodes are mirrored (x_{M-j} == 1 - x_j), and sin_pi reads
+    # min(x, 1 - x), so both built-in data are mirrored bit for bit and
+    # their runs march only the odd sine modes on every M
+    for name, initial in INITIAL_DATA.items():
+        for m in range(2, 257):
+            values = ritz_projection(Mesh1D(m), initial)
+            assert np.array_equal(values, values[::-1]), (name, m)
+
+
 @pytest.mark.parametrize("k", range(1, 14))
 def test_sin_pi_is_symmetric_on_power_of_two_meshes(k):
-    # 1 - x_j is exactly x_{M-j} on M = 2^k cells, so the data is
-    # mirrored bit for bit and its runs march only the odd sine modes
+    # the large meshes, up to M = 8192 cells, beyond the every-M check
     values = sin_pi(Mesh1D(2 ** k).interior_nodes())
     assert np.array_equal(values, values[::-1])

@@ -210,6 +210,9 @@ def test_assembly_parameter_validation(exp_ex1):
         assemble_weights(0, 0.1, exp_ex1)
     with pytest.raises(ValidationError):
         assemble_weights(4, 0.0, exp_ex1)
+    # else lag 0 reads 0 * inf = NaN and fails as a Gamma range fault
+    with pytest.raises(ValidationError, match=r"^step size inf is not in"):
+        assemble_weights(3, float("inf"), exp_ex1)
 
 
 def test_a_subnormal_step_is_refused(exp_ex1):
