@@ -43,20 +43,26 @@ steps and, per block lo..hi-1:
    top's last row to its first row.  Row i depends only on rows up to
    i, so each row is as accurate as the step-by-step march.
 
-A run takes N/B + B/2 interpreter steps instead of N, and the memory sum
-is a BLAS-3 product (O(N^2 M) flops, the history kept fully in memory
-because the memory term needs it anyway).  Modes never mix, so the
-marcher takes the eigenvalues and start values of the modes of one or
-more meshes on one time grid; `solve_ladder` marches the meshes of a
+Heat flow has no memory, so step n is u_n = decay_k u_{n-1} per mode,
+and a block's rows are the block's decay powers decay_k^(i+1), taken
+once a march by one cumulative product, times the row before the
+block: one elementwise product per block and no solve (N = 1024, 64
+modes, one BLAS thread on a 2-vCPU AMD EPYC VM: 0.40 -> 0.06 ms).
+
+A memory march takes N/B + B/2 interpreter steps instead of N, and
+the memory sum is a BLAS-3 product (O(N^2 M) flops, the history kept fully in
+memory because the memory term needs it anyway).  Modes never mix, so
+the marcher takes the eigenvalues and start values of the modes of one
+or more meshes on one time grid; `solve_ladder` marches the meshes of a
 ladder that share N as one set.  Neither those arrays (`_mesh_modes`)
 nor the exponent at the lags (`weights.exponent_factors`) depend on
 tau, so a ladder computes each once and only the weights' closed form
-in tau is per level.  A mesh is judged once, by row N,
-which any non-finite value reaches (decay > 0 carries it on, and so do
-the half-block products): it drops out alone, and SolverError, naming
-a block of steps, comes once none is left.  A run stays in the sine
-basis; `SolutionHistory` and the samplers transform back only what is
-read.
+in tau is per level.  A mesh is judged once, by row N, which any
+non-finite value reaches (decay > 0 carries it on, and so do the
+half-block and decay products and the history GEMM): it drops out
+alone, and SolverError, naming a block of steps, comes once none is
+left.  A run stays in the sine basis; `SolutionHistory` and the
+samplers transform back only what is read.
 
 One rule marches only the odd modes k = 1, 3, 5, ..., halving the
 solves, the history product and the history memory: a march does so
@@ -74,6 +80,7 @@ zero: dst1 leaves an even coefficient of symmetric data at rounding
 level.  A run that marched only its odd modes is judged on them alone.
 """
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -186,6 +193,9 @@ def solve_ladder(configs: list) -> list:
     configs of one N march as one mode set and match
     solve(config).final() to rounding (bit for bit when N has one
     config), or give None, each alone, where solve raises SolverError.
+    A ladder whose largest march needs more bytes than the machine's
+    physical memory, counted low (_march_bytes, against os.sysconf where
+    it tells), raises SolverError before anything is allocated.
     """
     for i, c in enumerate(configs):
         differ = [key for key in ("T", "exponent")
@@ -196,6 +206,13 @@ def solve_ladder(configs: list) -> list:
     T, exp = configs[0].T, configs[0].exponent
     validate_assumption_a(exp, T)
     steps = sorted({c.n_steps for c in configs})
+    need = max(_march_bytes(n, [c.mesh for c in configs if c.n_steps == n])
+               for n in steps)
+    memory = _physical_bytes()
+    if memory is not None and need > memory:
+        raise SolverError(f"the ladder's largest march needs at least "
+                          f"{need:.3g} bytes, more than the {memory:.3g} "
+                          "bytes of physical memory")
     top = {n // (n & -n): n for n in steps}  # odd part -> largest N
     factors = {n: exponent_factors(T / n * np.arange(n), exp)
                for n in top.values()}
@@ -218,6 +235,31 @@ def solve_ladder(configs: list) -> list:
             finals[i] = None if run is None else run.final()
         del runs, run  # one history at a time: free it before the next
     return finals
+
+
+def _march_bytes(n_steps: int, meshes: list) -> int:
+    """Bytes that a joint march of N steps on the meshes holds at once at
+    least: per odd mode (all that march on symmetric data, half of them
+    otherwise) its N + 1 history rows, its H x H inverse (H = min(B/2,
+    N)) and six floats (eigenvalues, start, denominator, decay, gain),
+    the nodal U_0 of each mesh and the B x (N + B) lag strip.  Setting
+    the modes up comes first and peaks at 5-7 floats per node (traced),
+    below the march for N >= 2; it is not counted."""
+    modes = sum(mesh.m_cells // 2 for mesh in meshes)
+    size = min(_BLOCK_ROWS, n_steps)
+    per_mode = n_steps + 7 + min(_BLOCK_ROWS // 2, n_steps) ** 2
+    return 8 * (modes * per_mode + sum(mesh.n_unknowns for mesh in meshes)
+                + size * (n_steps + size))
+
+
+def _physical_bytes() -> Optional[int]:
+    """Physical memory of the machine; None where os.sysconf cannot
+    tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
 
 
 # steps per block, B in the module doc; it also bounds the temporaries
@@ -293,7 +335,8 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     positive, else SolverError).  A block of steps lo..hi-1 costs one
     GEMM with the earlier history and two half-block solves, each one
     batched product with the dense inverses, joined by one H x H GEMM
-    with the lag matrix C (module doc).
+    with the lag matrix C (module doc); without memory (heat flow) it
+    is one product of the decay powers with row lo - 1.
     Returns the (N+1) x modes history, for the caller to judge.
     """
     if not implicit > 0.0:
@@ -306,25 +349,32 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     size, half = min(_BLOCK_ROWS, N), min(_BLOCK_ROWS // 2, N)
     history = np.empty((N + 1, start.size))
     history[0] = start
+    if memory is None:  # row i of a block is decay^(i+1) times row lo - 1
+        powers = np.cumprod(np.broadcast_to(decay, (size, decay.size)),
+                            axis=0)
+        with np.errstate(invalid="ignore"):  # inf times an underflowed 0
+            for lo in range(1, N + 1, size):
+                hi = min(lo + size, N + 1)
+                np.multiply(powers[:hi - lo], history[lo - 1],
+                            out=history[lo:hi])
+        return history
 
     lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
-    if memory is not None:
-        lags[1:N - first + 1] = memory[1:N - first + 1]
-        # strip[i, c] = lags[i + N + size - c]: row i of the block at lo
-        # takes strip[i, first - lo:], the weights of U_first..U_{lo-1};
-        # its last `half` columns are the top half's weights in the
-        # bottom half, coupling[i, j] = lags[half + i - j]
-        windows = np.lib.stride_tricks.sliding_window_view(lags[::-1],
-                                                           N + size)
-        strip = np.ascontiguousarray(windows[size - 1::-1])
-        coupling = strip[:half, N + size - half:]
+    lags[1:N - first + 1] = memory[1:N - first + 1]
+    # strip[i, c] = lags[i + N + size - c]: row i of the block at lo takes
+    # strip[i, first - lo:], the weights of U_first..U_{lo-1}; its last
+    # `half` columns are the top half's weights in the bottom half,
+    # coupling[i, j] = lags[half + i - j]
+    windows = np.lib.stride_tricks.sliding_window_view(lags[::-1], N + size)
+    strip = np.ascontiguousarray(windows[size - 1::-1])
+    coupling = strip[:half, N + size - half:]
 
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = _inverse_toeplitz(decay, gain, lags[:half])
         for lo in range(1, N + 1, size):
             hi = min(lo + size, N + 1)
             block = history[lo:hi]
-            if memory is not None and lo > first:
+            if lo > first:
                 np.matmul(strip[:hi - lo, first - lo:], history[first:lo],
                           out=block)
                 block *= -gain
@@ -334,8 +384,7 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
             top, bottom = block[:half], block[half:]
             _causal_solve(inverse, top)
             if len(bottom):
-                if memory is not None:
-                    bottom -= gain * (coupling[:len(bottom)] @ top)
+                bottom -= gain * (coupling[:len(bottom)] @ top)
                 bottom[0] += decay * top[-1]
                 _causal_solve(inverse, bottom)
     return history

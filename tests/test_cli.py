@@ -360,6 +360,24 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, message,
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_a_ladder_too_large_for_memory_exits_3(tmp_path, capsys,
+                                              monkeypatch):
+    # meshes up to M = 2^41 at N = 4 need at least 5.1e14 bytes: refused
+    # before any mesh is set up (the spy fails the test instead of
+    # allocating if the refusal is ever lost)
+    def no_setup(configs):
+        raise AssertionError("a mesh was set up")
+
+    monkeypatch.setattr("msdiff.stepper._mesh_modes", no_setup)
+    out = tmp_path / "out.csv"
+    assert main(["convergence-space", "--N", "4", "--M", "4", "--levels",
+                 "40", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("msd: solver failure: the ladder's largest march "
+                          "needs at least 5.1e+14 bytes, more than the "), err
+    assert not out.exists()
+
+
 def _write_tables(tmp_path):
     """The fuzzed tables, each written once: rewriting a file costs far
     more than creating one on some disks, and the examples share them."""

@@ -18,7 +18,7 @@ from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (VariableExponent, example_exponent_1,
                               example_exponent_2, exponent_by_name,
-                              tabulated_exponent)
+                              tabulated_exponent, zero_exponent)
 from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
                         sine_eigenvalues)
 from msdiff.harness import INITIAL_DATA
@@ -620,6 +620,42 @@ def test_failure_names_the_block_of_the_first_bad_row(exp_ex1):
         assert _steps_named(err.value) == _block_of(first_bad, N), k
         rows.add(int(first_bad))
     assert set(range(3, N - 1)) <= rows, sorted(rows)
+    # heat flow (decay < 1) cannot overflow after its start: data whose
+    # sine coefficients overflow names U_0, and data that is non-finite
+    # at the nodes, bad from row 0, names the first block
+    for initial, named in ((_sine_times(1e307), "sine coefficients of the "
+                            "initial data overflow at M = 64"),
+                           (_nan_inside, "non-finite solution values in "
+                            rf"steps 1\.\.{B}$")):
+        cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(64),
+                           exponent=exp_ex1, initial=initial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=named):
+                heat_solve(cfg)
+    # the multiscale weights of a step near where 1 + lag[0] turns
+    # negative multiply the march by about 1e22 in 24 steps: one block,
+    # named wherever in it the step-by-step march first overflows
+    N, T = 24, 29.5
+    exp = example_exponent_1(T)
+    lag = assemble_weights(N, T / N, exp)
+    rows = set()
+    for k in range(300, 270, -1):
+        cfg = SolverConfig(T=T, n_steps=N, mesh=Mesh1D(8), exponent=exp,
+                           initial=lambda x, s=10.0 ** k: s * u0_quartic(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = direct_march(cfg, 1.0 + lag[0], lag)
+        bad = np.flatnonzero(~np.isfinite(direct).all(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not bad.size:
+                assert np.all(np.isfinite(solve(cfg).snapshots)), k
+                continue
+            with pytest.raises(SolverError, match="non-finite") as err:
+                solve(cfg)
+        assert _steps_named(err.value) == _block_of(bad[0], N) == (1, N), k
+        rows.add(int(bad[0]))
+    assert len(rows) >= 10, sorted(rows)
 
 
 
@@ -664,6 +700,55 @@ def test_amplifying_lag_reaches_the_bottom_half_through_the_coupling(
                   > 1e3 * np.abs(free[reached]).max(axis=1))
     gaps = np.abs(got - want).max(axis=1)
     assert np.all(gaps <= 1e-13 * np.abs(want).max(axis=1))
+
+
+@pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 1025, 4096])
+@pytest.mark.parametrize("initial", [_skewed, u0_quartic])
+def test_heat_march_is_its_closed_form(N, initial):
+    # heat flow has no memory: mode k is decay_k^n u_0[k], marched a
+    # block at a time as one product with the block's decay powers; each
+    # mode within 1e-13 of its own largest value
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(16),
+                       exponent=zero_exponent(), initial=initial)
+    run = heat_solve(cfg)
+    lam_mass, lam_stiff = (lam[run.modes] for lam in
+                           sine_eigenvalues(cfg.mesh))
+    decay = lam_mass / (cfg.tau * (lam_mass / cfg.tau + lam_stiff))
+    start = dst1(run.initial)[run.modes]
+    want = decay ** np.arange(N + 1)[:, None] * start
+    gaps = np.abs(run.coefficients - want).max(axis=0)
+    assert np.all(gaps <= 1e-13 * np.abs(want).max(axis=0))
+
+
+def test_heat_flow_calls_no_block_solve(exp_ex1):
+    # heat flow marches every block as one product: no inverse is built
+    # and no half block is solved; the memory marches solve every block,
+    # the first of the multiscale march too, in two halves
+    N = 5 * B + 3
+    cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(16), exponent=exp_ex1,
+                       initial=u0_quartic)
+    calls, causal_solve = [], stepper._causal_solve
+    inverse_toeplitz = stepper._inverse_toeplitz
+
+    def solve_spy(inverse, rows):
+        calls.append(len(rows))
+        causal_solve(inverse, rows)
+
+    def inverse_spy(decay, gain, lags):
+        calls.append("inverse")
+        return inverse_toeplitz(decay, gain, lags)
+
+    runs = {"heat": (heat_solve, []),
+            "multiscale": (solve, ["inverse"] + [H, H] * 5 + [3]),
+            "constant-order": (lambda c: constant_subdiffusion_solve(c, 0.5),
+                               ["inverse"] + [H, H] * 5 + [3])}
+    with unittest.mock.patch.object(stepper, "_causal_solve", solve_spy), \
+            unittest.mock.patch.object(stepper, "_inverse_toeplitz",
+                                       inverse_spy):
+        for name, (run, want) in runs.items():
+            calls.clear()
+            run(cfg)
+            assert calls == want, name
 
 
 _MESHES = (4, 8, 16)
@@ -742,6 +827,51 @@ def test_sine_coefficients_near_the_overflow_threshold(exp_ex1):
     assert np.abs(got - 1e307 * unit).max() <= 1e-15 * np.abs(got).max()
     assert ladder[1] is None
     assert np.abs(ladder[0] - got).max() <= 1e-15 * np.abs(got).max()
+
+
+@pytest.mark.parametrize("steps, meshes", [
+    ([4] * 9, [4 * 2 ** k for k in range(9)]),
+    ([32, 32, 16, 64], [64, 128, 8, 8]),
+    ([8 * 2 ** k for k in range(8)], [256] * 8),
+], ids=["space", "mixed", "time"])
+def test_a_ladder_larger_than_memory_is_refused_before_it_allocates(
+        exp_ex1, monkeypatch, steps, meshes):
+    # _march_bytes counts low: on symmetric data, which marches its odd
+    # modes only, it stays below the traced peak of the ladder (and above
+    # half of it), so a ladder that fits runs; a machine one byte smaller
+    # than the count is refused before any mesh is set up, and a ladder
+    # runs where os.sysconf cannot tell
+    ladder = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m),
+                           exponent=exp_ex1, initial=INITIAL_DATA["sin-pi"])
+              for n, m in zip(steps, meshes)]
+    need = max(stepper._march_bytes(n, [Mesh1D(m) for k, m in
+                                        zip(steps, meshes) if k == n])
+               for n in steps)
+    solve_ladder(ladder[:1])
+    tracemalloc.start()
+    try:
+        solve_ladder(ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 < need <= peak, (need, peak)
+
+    def no_setup(configs):
+        raise AssertionError("a mesh was set up")
+
+    monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
+    with unittest.mock.patch.object(stepper, "_mesh_modes", no_setup), \
+            pytest.raises(SolverError, match=re.escape(
+                f"needs at least {need:.3g} bytes, more than the ")):
+        solve_ladder(ladder)
+    for memory in (need, None):
+        monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
+        assert all(final is not None for final in solve_ladder(ladder))
+    monkeypatch.undo()
+    assert stepper._physical_bytes() > need
+    with unittest.mock.patch.object(stepper.os, "sysconf",
+                                    side_effect=ValueError):
+        assert stepper._physical_bytes() is None
 
 
 def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
