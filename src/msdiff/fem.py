@@ -13,6 +13,7 @@ with zero boundary values coincides with its nodal interpolant, so
 projection is plain sampling.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,6 +162,13 @@ def end_tolerance(values: np.ndarray) -> float:
 
 
 def discrete_l2_norm(values: np.ndarray, h: float) -> float:
-    """sqrt(h sum v_j^2), the nodal L2 norm used by the error metrics."""
+    """sqrt(h sum v_j^2), the nodal L2 norm used by the error metrics.
+
+    As in dst1, the values are scaled by the power of two around
+    max |v| and the norm scaled back: exact, so the squares neither
+    overflow nor underflow where the norm itself is in range.
+    """
     values = np.asarray(values, float)
-    return float(np.sqrt(h * np.dot(values, values)))
+    shift = math.frexp(np.abs(values).max(initial=0.0))[1]
+    scaled = np.ldexp(values, -shift)
+    return float(np.ldexp(np.sqrt(h * np.dot(scaled, scaled)), shift))

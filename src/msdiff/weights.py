@@ -72,7 +72,7 @@ def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:
     a = np.broadcast_to(np.asarray(exp.alpha(d), float), d.shape)
     d1 = np.broadcast_to(np.asarray(exp.alpha_d1(d), float), d.shape)
     one_m = 1.0 - a
-    ok = _in_gamma_range(one_m)
+    ok = (one_m > 0.0) & (one_m < 171.0)   # False for NaN
     smooth, gam = np.full(d.shape, np.nan), np.full(d.shape, np.nan)
     with np.errstate(all="ignore"):
         smooth[ok] = smooth_factor_of(d[ok], a[ok], d1[ok],
@@ -95,17 +95,17 @@ def closed_form_lags(tau: float, a: np.ndarray, d1: np.ndarray,
         L = P (ln d - 1/(1-a)) + e^(1-a) log1p(1/j) / (1-a);
 
     lag 0 takes the diagonal limits.  Gamma's range is checked first:
-    the first lag whose Gamma(1 - alpha) is out of range raises
-    SolverError naming that lag.  Only then are the weights evaluated,
-    and the first lag whose weight is not finite raises SolverError
-    naming it.
+    the first lag whose Gamma(1 - alpha) is out of range (NaN in gam,
+    see exponent_factors) raises SolverError naming that lag.  Only
+    then are the weights evaluated, and the first lag whose weight is
+    not finite raises SolverError naming it.
     """
     n_steps = a.size
     j = np.arange(n_steps)
     d = tau * j                           # lag of panel j
     e = tau * np.arange(1, n_steps + 1)   # far end of panel j
     one_m = 1.0 - a
-    bad = np.flatnonzero(~_in_gamma_range(one_m))
+    bad = np.flatnonzero(np.isnan(gam))
     if bad.size:
         i = int(bad[0])
         raise SolverError(
@@ -127,9 +127,3 @@ def closed_form_lags(tau: float, a: np.ndarray, d1: np.ndarray,
         raise SolverError(
             f"non-finite memory weight at lag {i} (n={i + 1}, k=1)")
     return lag
-
-
-def _in_gamma_range(x: np.ndarray) -> np.ndarray:
-    """Gamma(x) and psi(x) need 0 < x (False for NaN), and Gamma
-    overflows past 171.6."""
-    return (x > 0.0) & (x < 171.0)

@@ -75,6 +75,29 @@ def test_space_study_labels_and_errors():
     assert all(1.7 < r < 2.2 for r in rates)
 
 
+@pytest.mark.parametrize("c", [2.0 ** 530, 2.0 ** -560],
+                         ids=["2^530", "2^-560"])
+def test_studies_on_scaled_data_scale_their_errors(tmp_path, c):
+    # the model is linear and c a power of two, so every error is exactly
+    # c times that of the unscaled data and every rate is the same; the
+    # squares of the norm (about c^2) lie past the float range both ways
+    samples = [(0.0, 0.0), (0.25, 0.75), (0.5, 1.0), (0.75, 0.75),
+               (1.0, 0.0)]
+    tables = {}
+    for scale in (1.0, c):
+        path = tmp_path / f"u0-{scale!r}.csv"
+        path.write_text("".join(f"{x!r},{v * scale!r}\n" for x, v in samples))
+        cfg = ExperimentConfig(kind="convergence-time", u0=str(path),
+                               n_steps=8, m_cells=8, levels=3)
+        tables[scale] = (run_convergence_time(cfg), run_convergence_space(
+            dataclasses.replace(cfg, kind="convergence-space")))
+    for plain, scaled in zip(tables[1.0], tables[c]):
+        assert [e * c for e in plain.errors()] == scaled.errors()
+        assert all(0.0 < e < math.inf for e in scaled.errors())
+        assert plain.rates() == scaled.rates()
+        assert len(scaled.rates()) == 2
+
+
 def test_base_resolution_must_be_even():
     with pytest.raises(ValidationError):
         run_convergence_time(small_time_cfg(n_steps=33))
