@@ -8,10 +8,12 @@ refined mesh width 1/P.  The rate on row i is log2 of the ratio of the
 errors on rows i-1 and i, and the first row carries no rate (printed
 as '*').
 
-CSV output is machine-oriented (full double precision, so tables
-round-trip exactly through parse_rate_table); markdown output renders
-errors with 5 significant digits and rates with 4 decimals, the layout
-used in the reference tables.
+CSV output is machine-oriented: every float is printed with 17
+significant digits (%.17g), which read back to the same double, so
+tables round-trip exactly through parse_rate_table; integers print as
+integers, and a rate keeps its repr.  Markdown output renders errors
+with 5 significant digits and rates with 4 decimals, the layout used
+in the reference tables.
 """
 
 import math
@@ -19,6 +21,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -335,11 +338,26 @@ def parse_rate_table(text: str) -> RateTable:
         raise ValidationError(f"malformed table header: missing {err}") from err
 
 
+# rows per format call of _csv: bounds the template and its argument
+# tuple, which weights-dump's N(N+1)/2 rows would otherwise make huge
+_CSV_ROWS = 4096
+
+
 def _csv(header: str, *columns) -> str:
-    """Header line(s), then a line per row of the columns; via .tolist(),
-    str of each float is its repr, so every number reads back exactly."""
-    cells = zip(*[map(str, np.asarray(col).tolist()) for col in columns])
-    return "\n".join([header, *map(",".join, cells), ""])
+    """Header line(s), then a line per row of the columns: floats with
+    17 significant digits, which read back to the same double, integers
+    as integers and anything else (a rate table's rates) by str.  Each
+    block of at most _CSV_ROWS rows is one % call on a row template."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%.17g" if col.dtype.kind == "f" else
+                   "%d" if col.dtype.kind in "iu" else "%s"
+                   for col in columns)
+    lines, size = [header], len(columns[0])
+    for lo in range(0, size, _CSV_ROWS):
+        cells = zip(*(col[lo:lo + _CSV_ROWS].tolist() for col in columns))
+        lines.append("\n".join([row] * min(_CSV_ROWS, size - lo))
+                     % tuple(chain.from_iterable(cells)))
+    return "\n".join(lines + [""])
 
 
 def emit_comparison_csv(series: ComparisonSeries) -> str:

@@ -369,6 +369,11 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     strip = np.ascontiguousarray(windows[size - 1::-1])
     coupling = strip[:half, N + size - half:]
 
+    # every block reuses these buffers: -gain, a decay-scaled row, the
+    # bottom half's coupling term and _causal_solve's columns
+    neg_gain, row = -gain, np.empty(start.size)
+    shared = np.empty((half, start.size))
+    into, out = np.empty((2, start.size, half, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = _inverse_toeplitz(decay, gain, lags[:half])
         for lo in range(1, N + 1, size):
@@ -377,24 +382,32 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
             if lo > first:
                 np.matmul(strip[:hi - lo, first - lo:], history[first:lo],
                           out=block)
-                block *= -gain
+                block *= neg_gain
             else:
                 block.fill(0.0)
-            block[0] += decay * history[lo - 1]
+            block[0] += np.multiply(decay, history[lo - 1], out=row)
             top, bottom = block[:half], block[half:]
-            _causal_solve(inverse, top)
+            _causal_solve(inverse, top, into, out)
             if len(bottom):
-                bottom -= gain * (coupling[:len(bottom)] @ top)
-                bottom[0] += decay * top[-1]
-                _causal_solve(inverse, bottom)
+                coupled = shared[:len(bottom)]
+                np.matmul(coupling[:len(bottom)], top, out=coupled)
+                bottom -= np.multiply(gain, coupled, out=coupled)
+                bottom[0] += np.multiply(decay, top[-1], out=row)
+                _causal_solve(inverse, bottom, into, out)
     return history
 
 
-def _causal_solve(inverse: np.ndarray, rows: np.ndarray) -> None:
+def _causal_solve(inverse: np.ndarray, rows: np.ndarray, into: np.ndarray,
+                  out: np.ndarray) -> None:
     """Solve the n x modes `rows` in place, n <= H: one batched product
-    of each mode's column with the leading n x n corner of its inverse."""
+    of each mode's column with the leading n x n corner of its inverse.
+    into and out are modes x H x 1 buffers for the columns."""
     n = len(rows)
-    rows[:] = np.matmul(inverse[:, :n, :n], rows.T[:, :, None])[..., 0].T
+    if n < out.shape[1]:  # a short last block
+        inverse, into, out = inverse[:, :n, :n], into[:, :n], out[:, :n]
+    into[..., 0] = rows.T
+    np.matmul(inverse, into, out=out)
+    rows[:] = out[..., 0].T
 
 
 def _inverse_toeplitz(decay: np.ndarray, gain: np.ndarray,

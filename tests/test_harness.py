@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from msdiff import harness
 from msdiff.cli import main
 from msdiff.errors import ValidationError
 from msdiff.harness import (ExperimentConfig, RateRow, RateTable,
@@ -162,18 +163,26 @@ def _columns(text, header):
     return [list(col) for col in zip(*(line.split(",") for line in lines[1:]))]
 
 
+def _floats_are_17_digits(cells, want):
+    """Every cell is '%.17g' of its value and reads back bit for bit."""
+    want = np.asarray(want, float)
+    return (cells == ["%.17g" % v for v in want.tolist()]
+            and _same_floats([float(c) for c in cells], want))
+
+
 def test_every_csv_number_reads_back_to_the_same_float():
-    # the four CSV emitters, each with its header unchanged
+    # the four CSV emitters, each with its header unchanged: floats print
+    # as %.17g, integers as integers and a rate by its repr
     values = _AWKWARD
     times, heat, multi, sub = (np.roll(values, i) for i in range(4))
     text = emit_comparison_csv(ComparisonSeries(times, heat, multi, sub))
     got = _columns(text, "t,heat,multiscale,subdiffusion")
-    assert all(_same_floats([float(c) for c in col], want)
+    assert all(_floats_are_17_digits(col, want)
                for col, want in zip(got, (times, heat, multi, sub)))
 
     x, u = values, -values[::-1]
     got = _columns(emit_solution_csv(x, u), "x,value")
-    assert all(_same_floats([float(c) for c in col], want)
+    assert all(_floats_are_17_digits(col, want)
                for col, want in zip(got, (x, u)))
 
     rows = tuple(RateRow(level, 2 ** level, err, None if level == 0 else rate)
@@ -186,6 +195,12 @@ def test_every_csv_number_reads_back_to_the_same_float():
         "# kind=convergence-space", "# param=M", "# error=G2",
         "# exponent=exp-example2", "# u0=poly-x2-1mx2", "# fixed=N=64",
         "level,param,error,rate"]
+    level, param, error, rate = _columns(
+        "\n".join(text.splitlines()[6:]), "level,param,error,rate")
+    assert level == [str(r.level) for r in rows]
+    assert param == [str(r.param) for r in rows]
+    assert _floats_are_17_digits(error, table.errors())
+    assert rate == ["*", *(repr(r.rate) for r in rows[1:])]
     back = parse_rate_table(text)
     assert _same_floats(back.errors(), table.errors())
     assert _same_floats(back.rates(), table.rates())
@@ -195,8 +210,26 @@ def test_every_csv_number_reads_back_to_the_same_float():
     cfg = ExperimentConfig(kind="weights-dump", n_steps=40, T=1.0)
     lag = assemble_weights(40, 1.0 / 40, cfg.build_exponent())
     n, k, b = _columns(emit_weights_csv(cfg), "n,k,b")
+    assert all(cell.isdigit() for cell in n + k)
     n, k = np.array(n, int), np.array(k, int)
     assert n.size == 40 * 41 // 2 and np.all((1 <= k) & (k <= n))
+    assert _floats_are_17_digits(b, lag[n - k])
+
+
+def test_weights_dump_spanning_row_blocks_is_one_table():
+    # 5050 rows are more than one format call of _csv writes
+    N = 100
+    assert N * (N + 1) // 2 > harness._CSV_ROWS
+    cfg = ExperimentConfig(kind="weights-dump", n_steps=N, T=1.0)
+    lag = assemble_weights(N, 1.0 / N, cfg.build_exponent())
+    text = emit_weights_csv(cfg)
+    lines = text.splitlines()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert len(lines) == 1 + N * (N + 1) // 2 and "" not in lines
+    n, k, b = _columns(text, "n,k,b")
+    n, k = np.array(n, int), np.array(k, int)
+    want_n, want_k = np.tril_indices(N)
+    assert np.array_equal(n, want_n + 1) and np.array_equal(k, want_k + 1)
     assert _same_floats([float(c) for c in b], lag[n - k])
 
 

@@ -730,9 +730,9 @@ def test_heat_flow_calls_no_block_solve(exp_ex1):
     calls, causal_solve = [], stepper._causal_solve
     inverse_toeplitz = stepper._inverse_toeplitz
 
-    def solve_spy(inverse, rows):
+    def solve_spy(inverse, rows, *buffers):
         calls.append(len(rows))
-        causal_solve(inverse, rows)
+        causal_solve(inverse, rows, *buffers)
 
     def inverse_spy(decay, gain, lags):
         calls.append("inverse")
