@@ -33,8 +33,8 @@ from .exponents import (EXPONENTS, VariableExponent, cubic_spline,
 from .fem import Mesh1D, discrete_l2_norm, end_tolerance
 from .reference import (ComparisonSeries, figure_transition_profiles,
                         sin_pi)
-from .stepper import SolverConfig, solve, solve_ladder
-from .weights import assemble_weights
+from .stepper import SolverConfig, _require_memory, solve, solve_ladder
+from .weights import _check_grid, assemble_weights
 
 KINDS = ("solve", "convergence-time", "convergence-space", "figure1",
          "weights-dump")
@@ -370,13 +370,21 @@ def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
 
 
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
-    """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows."""
+    """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows.
+
+    A table larger than physical memory, counted low as three 8-byte
+    columns of N(N+1)/2 rows (its traced peak is 100-106 bytes a row),
+    raises SolverError before the weights are assembled."""
     exp = cfg.build_exponent()
     validate_assumption_a(exp, cfg.T)
     steps = cfg.n_steps
-    # assemble_weights refuses a step count past 2**60 before it reads
-    # the step size, which T / N cannot give past the float range
-    lag = assemble_weights(steps, cfg.T / min(steps, 2 ** 62), exp)
+    # _check_grid refuses a step count past 2**60 before it reads the
+    # step size, which T / N cannot give past the float range
+    tau = cfg.T / min(steps, 2 ** 62)
+    _check_grid(steps, tau)
+    _require_memory(24 * (steps * (steps + 1) // 2),
+                    f"the weights table of {steps} steps")
+    lag = assemble_weights(steps, tau, exp)
     n, k = np.tril_indices(steps)
     return _csv("n,k,b", n + 1, k + 1, lag[n - k])
 

@@ -21,14 +21,17 @@ from .fem import Mesh1D
 # sample_solution is not called here, but perfbench/spans.py traces it
 # under this module's name
 from .stepper import (SolverConfig, SolutionHistory,  # noqa: F401
-                      _march_meshes, sample_series, sample_solution, solve)
+                      _march_bytes, _march_meshes, _require_memory,
+                      sample_series, sample_solution, solve)
 
 
 def heat_solve(config: SolverConfig) -> SolutionHistory:
     """Backward-Euler P1 solve of u_t - u_xx = 0.
 
     Ignores config.exponent; with a zero exponent the multiscale
-    stepper must reproduce this history to roundoff.
+    stepper must reproduce this history to roundoff.  Not sized against
+    physical memory: it builds no lag strip and no inverses, so
+    stepper._march_bytes would count too high for it.
     """
     return _march_meshes([config], 1.0)[0]
 
@@ -62,7 +65,10 @@ def constant_subdiffusion_solve(config: SolverConfig,
     mode k are c_k = 1 + lam_k tau^(1-a) times the first-order CQ of
     v + lam_k I^(1-a) v = v(0) from U_0 / c_k (lam_k = lam^A_k / lam^M_k),
     so the error falls like tau^(1-a); 54% in figure1 at N = 1024.
+    A march larger than physical memory (stepper._require_memory) raises
+    SolverError before the weights are built.
     """
+    _require_memory(_march_bytes(config.n_steps, [config.mesh]), "the march")
     weights = cq_weights(alpha_bar, config.n_steps)
     scale = config.tau ** (-alpha_bar)
     return _march_meshes([config], scale, scale * weights, 0)[0]

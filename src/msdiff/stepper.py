@@ -172,9 +172,12 @@ def solve(config: SolverConfig) -> SolutionHistory:
     Raises SolverError on a non-finite snapshot, naming its block of
     steps (or dst1(U_0)), or on a non-positive 1 + lag[0], the only
     step check; the README says why the sufficient
-    1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced.
+    1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced.  A march larger
+    than physical memory (_require_memory) raises SolverError before
+    the weights are assembled.
     """
     validate_assumption_a(config.exponent, config.T)
+    _require_memory(_march_bytes(config.n_steps, [config.mesh]), "the march")
     lag = assemble_weights(config.n_steps, config.tau, config.exponent)
     return _march_meshes([config], 1.0 + lag[0], lag, 1)[0]
 
@@ -193,9 +196,8 @@ def solve_ladder(configs: list) -> list:
     configs of one N march as one mode set and match
     solve(config).final() to rounding (bit for bit when N has one
     config), or give None, each alone, where solve raises SolverError.
-    A ladder whose largest march needs more bytes than the machine's
-    physical memory, counted low (_march_bytes, against os.sysconf where
-    it tells), raises SolverError before anything is allocated.
+    A ladder whose largest march is larger than physical memory
+    (_require_memory) raises SolverError before anything is allocated.
     """
     for i, c in enumerate(configs):
         differ = [key for key in ("T", "exponent")
@@ -208,11 +210,7 @@ def solve_ladder(configs: list) -> list:
     steps = sorted({c.n_steps for c in configs})
     need = max(_march_bytes(n, [c.mesh for c in configs if c.n_steps == n])
                for n in steps)
-    memory = _physical_bytes()
-    if memory is not None and need > memory:
-        raise SolverError(f"the ladder's largest march needs at least "
-                          f"{need:.3g} bytes, more than the {memory:.3g} "
-                          "bytes of physical memory")
+    _require_memory(need, "the ladder's largest march")
     top = {n // (n & -n): n for n in steps}  # odd part -> largest N
     factors = {n: exponent_factors(T / n * np.arange(n), exp)
                for n in top.values()}
@@ -244,12 +242,24 @@ def _march_bytes(n_steps: int, meshes: list) -> int:
     N)) and six floats (eigenvalues, start, denominator, decay, gain),
     the nodal U_0 of each mesh and the B x (N + B) lag strip.  Setting
     the modes up comes first and peaks at 5-7 floats per node (traced),
-    below the march for N >= 2; it is not counted."""
+    below the march for N >= 2; it is not counted, and neither are the
+    memory weights.  It sizes the memory marches (solve, solve_ladder,
+    reference.constant_subdiffusion_solve), not heat flow, which builds
+    no strip and no inverses."""
     modes = sum(mesh.m_cells // 2 for mesh in meshes)
     size = min(_BLOCK_ROWS, n_steps)
     per_mode = n_steps + 7 + min(_BLOCK_ROWS // 2, n_steps) ** 2
     return 8 * (modes * per_mode + sum(mesh.n_unknowns for mesh in meshes)
                 + size * (n_steps + size))
+
+
+def _require_memory(need: int, what: str) -> None:
+    """SolverError naming `what` if its `need` bytes, counted low, exceed
+    the machine's physical memory; nothing where os.sysconf cannot tell."""
+    memory = _physical_bytes()
+    if memory is not None and need > memory:
+        raise SolverError(f"{what} needs at least {need:.3g} bytes, more "
+                          f"than the {memory:.3g} bytes of physical memory")
 
 
 def _physical_bytes() -> Optional[int]:
@@ -369,11 +379,6 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     strip = np.ascontiguousarray(windows[size - 1::-1])
     coupling = strip[:half, N + size - half:]
 
-    # every block reuses these buffers: -gain, a decay-scaled row, the
-    # bottom half's coupling term and _causal_solve's columns
-    neg_gain, row = -gain, np.empty(start.size)
-    shared = np.empty((half, start.size))
-    into, out = np.empty((2, start.size, half, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         inverse = _inverse_toeplitz(decay, gain, lags[:half])
         for lo in range(1, N + 1, size):
@@ -382,32 +387,27 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
             if lo > first:
                 np.matmul(strip[:hi - lo, first - lo:], history[first:lo],
                           out=block)
-                block *= neg_gain
+                block *= -gain
             else:
                 block.fill(0.0)
-            block[0] += np.multiply(decay, history[lo - 1], out=row)
+            block[0] += decay * history[lo - 1]
             top, bottom = block[:half], block[half:]
-            _causal_solve(inverse, top, into, out)
+            _causal_solve(inverse, top)
             if len(bottom):
-                coupled = shared[:len(bottom)]
-                np.matmul(coupling[:len(bottom)], top, out=coupled)
-                bottom -= np.multiply(gain, coupled, out=coupled)
-                bottom[0] += np.multiply(decay, top[-1], out=row)
-                _causal_solve(inverse, bottom, into, out)
+                bottom -= gain * (coupling[:len(bottom)] @ top)
+                bottom[0] += decay * top[-1]
+                _causal_solve(inverse, bottom)
     return history
 
 
-def _causal_solve(inverse: np.ndarray, rows: np.ndarray, into: np.ndarray,
-                  out: np.ndarray) -> None:
+def _causal_solve(inverse: np.ndarray, rows: np.ndarray) -> None:
     """Solve the n x modes `rows` in place, n <= H: one batched product
     of each mode's column with the leading n x n corner of its inverse.
-    into and out are modes x H x 1 buffers for the columns."""
+    It allocates its columns and result per call: reused buffers saved
+    about 1% of a figure1 pass on a 2-vCPU VM, too little for their
+    code (ROADMAP item 7)."""
     n = len(rows)
-    if n < out.shape[1]:  # a short last block
-        inverse, into, out = inverse[:, :n, :n], into[:, :n], out[:, :n]
-    into[..., 0] = rows.T
-    np.matmul(inverse, into, out=out)
-    rows[:] = out[..., 0].T
+    rows[:] = np.matmul(inverse[:, :n, :n], rows.T[:, :, None])[..., 0].T
 
 
 def _inverse_toeplitz(decay: np.ndarray, gain: np.ndarray,

@@ -41,9 +41,17 @@ def assemble_weights(n_steps: int, tau: float,
     """Compute the lag vector for an N-step grid in one vectorised pass.
 
     lag[j] = b(n, k) for n - k = j < n_steps: closed_form_lags of the
-    exponent_factors at the lags d = j tau.  A lag array numpy cannot
-    size raises ValidationError; the exponent is assumed admissible.
+    exponent_factors at the lags d = j tau.  A grid that _check_grid
+    refuses raises ValidationError; the exponent is assumed admissible.
     """
+    _check_grid(n_steps, tau)
+    return closed_form_lags(tau, *exponent_factors(tau * np.arange(n_steps),
+                                                   exp))
+
+
+def _check_grid(n_steps: int, tau: float) -> None:
+    """ValidationError unless n_steps is a positive integer whose lag
+    array numpy can size and tau a positive, finite, normal float."""
     require_integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValidationError(f"need at least one step, got {n_steps}")
@@ -53,8 +61,6 @@ def assemble_weights(n_steps: int, tau: float,
         raise ValidationError(f"step size {tau} is not in (0, inf)")
     if tau < np.finfo(float).tiny:  # as SolverConfig refuses T/N
         raise ValidationError(f"step size {tau} underflows")
-    return closed_form_lags(tau, *exponent_factors(tau * np.arange(n_steps),
-                                                   exp))
 
 
 def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
-from msdiff import stepper
+from msdiff import harness, reference, stepper
 from msdiff.cli import main
 from msdiff.errors import SolverError, ValidationError
 from msdiff.exponents import (VariableExponent, example_exponent_1,
@@ -730,9 +730,9 @@ def test_heat_flow_calls_no_block_solve(exp_ex1):
     calls, causal_solve = [], stepper._causal_solve
     inverse_toeplitz = stepper._inverse_toeplitz
 
-    def solve_spy(inverse, rows, *buffers):
+    def solve_spy(inverse, rows):
         calls.append(len(rows))
-        causal_solve(inverse, rows, *buffers)
+        causal_solve(inverse, rows)
 
     def inverse_spy(decay, gain, lags):
         calls.append("inverse")
@@ -872,6 +872,89 @@ def test_a_ladder_larger_than_memory_is_refused_before_it_allocates(
     with unittest.mock.patch.object(stepper.os, "sysconf",
                                     side_effect=ValueError):
         assert stepper._physical_bytes() is None
+
+
+def _never(*args):
+    raise AssertionError("allocated before it was sized")
+
+
+@pytest.mark.parametrize("name", ["multiscale", "constant-order"])
+@pytest.mark.parametrize("steps, cells", [(1, 2), (40, 8), (300, 64)])
+def test_a_march_larger_than_memory_is_refused_before_it_allocates(
+        exp_ex1, monkeypatch, name, steps, cells):
+    # solve and constant_subdiffusion_solve count their march as
+    # solve_ladder does: at or below the traced peak of one run on
+    # symmetric data, so a march that fits runs; a machine one byte
+    # smaller is refused before the weights or the modes are built, and
+    # a march runs where os.sysconf cannot tell
+    run = {"multiscale": solve,
+           "constant-order": lambda c: constant_subdiffusion_solve(c, 0.5)}
+    cfg = SolverConfig(T=1.0, n_steps=steps, mesh=Mesh1D(cells),
+                       exponent=exp_ex1, initial=INITIAL_DATA["sin-pi"])
+    need = stepper._march_bytes(steps, [cfg.mesh])
+    run[name](cfg)
+    tracemalloc.start()
+    try:
+        run[name](cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak, (need, peak)
+
+    monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
+    with unittest.mock.patch.object(stepper, "assemble_weights", _never), \
+            unittest.mock.patch.object(reference, "cq_weights", _never), \
+            unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
+            pytest.raises(SolverError, match=re.escape(
+                f"the march needs at least {need:.3g} bytes, more than the ")):
+        run[name](cfg)
+    for memory in (need, None):
+        monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
+        assert np.isfinite(run[name](cfg).final()).all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--N", "300", "--M", "64"],
+    ["figure1", "--N", "300", "--M", "64"],
+    ["weights-dump", "--N", "300"],
+], ids=["solve", "figure1", "weights-dump"])
+def test_a_run_larger_than_memory_exits_3_before_it_allocates(
+        tmp_path, capsys, monkeypatch, argv):
+    # msd counts a march by _march_bytes (figure1 sizes its first,
+    # multiscale run) and the weights table as three 8-byte columns of
+    # N(N+1)/2 rows, each at or below the traced peak of the run; one
+    # byte less memory exits 3, naming physical memory, before any
+    # weights, modes or table indices are built, and nothing is written
+    out = tmp_path / "out.csv"
+    if argv[0] == "weights-dump":
+        need = 24 * (300 * 301 // 2)
+    else:
+        need = stepper._march_bytes(300, [Mesh1D(64)])
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak, (need, peak)
+    out.unlink()
+
+    monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
+    with unittest.mock.patch.object(stepper, "assemble_weights", _never), \
+            unittest.mock.patch.object(harness, "assemble_weights", _never), \
+            unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
+            unittest.mock.patch.object(np, "tril_indices", _never):
+        assert main(argv + ["--out", str(out)]) == 3
+    assert re.fullmatch(r"msd: solver failure: .* needs at least "
+                        + re.escape(f"{need:.3g} bytes, more than the ")
+                        + r".* bytes of physical memory\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+    for memory in (need, None):
+        monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+        out.unlink()
 
 
 def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
