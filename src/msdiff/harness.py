@@ -11,9 +11,10 @@ as '*').
 CSV output is machine-oriented: every float is printed with 17
 significant digits (%.17g), which read back to the same double, so
 tables round-trip exactly through parse_rate_table; integers print as
-integers, and a rate keeps its repr.  Markdown output renders errors
-with 5 significant digits and rates with 4 decimals, the layout used
-in the reference tables.
+integers, and a rate keeps its repr.  The rows of an output are one %
+call (weights-dump: one per step, sized as two copies of its text).
+Markdown output renders errors with 5 significant digits and rates
+with 4 decimals, the layout used in the reference tables.
 """
 
 import math
@@ -295,9 +296,9 @@ def emit_table(table: RateTable, fmt: str) -> str:
             if "".join(line.splitlines()) != line:
                 raise ValidationError(f"table header value {line[2:]!r} "
                                       "holds a line break")
-        return _csv("\n".join(head + ["level,param,error,rate"]), *zip(*(
+        return "\n".join(head + ["level,param,error,rate", _csv(*zip(*(
             (r.level, r.param, r.error, "*" if r.rate is None
-             else repr(float(r.rate))) for r in table.rows)))
+             else repr(float(r.rate))) for r in table.rows)))])
     if fmt == "markdown":
         rate_name = "rate^t" if table.param_name == "N" else "rate^x"
         lines = [
@@ -338,42 +339,33 @@ def parse_rate_table(text: str) -> RateTable:
         raise ValidationError(f"malformed table header: missing {err}") from err
 
 
-# rows per format call of _csv: bounds the template and its argument
-# tuple, which weights-dump's N(N+1)/2 rows would otherwise make huge
-_CSV_ROWS = 4096
-
-
-def _csv(header: str, *columns) -> str:
-    """Header line(s), then a line per row of the columns: floats with
-    17 significant digits, which read back to the same double, integers
-    as integers and anything else (a rate table's rates) by str.  Each
-    block of at most _CSV_ROWS rows is one % call on a row template."""
+def _csv(*columns) -> str:
+    """A line per row of the columns, LF-ended: floats with 17 significant
+    digits, which read back to the same double, integers as integers and
+    anything else (a rate table's rates) by str; one % call on the row
+    template repeated once per row.  The caller writes the header."""
     columns = [np.asarray(col) for col in columns]
     row = ",".join("%.17g" if col.dtype.kind == "f" else
                    "%d" if col.dtype.kind in "iu" else "%s"
-                   for col in columns)
-    lines, size = [header], len(columns[0])
-    for lo in range(0, size, _CSV_ROWS):
-        cells = zip(*(col[lo:lo + _CSV_ROWS].tolist() for col in columns))
-        lines.append("\n".join([row] * min(_CSV_ROWS, size - lo))
-                     % tuple(chain.from_iterable(cells)))
-    return "\n".join(lines + [""])
+                   for col in columns) + "\n"
+    cells = zip(*(col.tolist() for col in columns))
+    return row * len(columns[0]) % tuple(chain.from_iterable(cells))
 
 
 def emit_comparison_csv(series: ComparisonSeries) -> str:
-    return _csv("t,heat,multiscale,subdiffusion", series.times, series.heat,
-                series.multiscale, series.subdiffusion)
+    return "t,heat,multiscale,subdiffusion\n" + _csv(
+        series.times, series.heat, series.multiscale, series.subdiffusion)
 
 
 def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
-    return _csv("x,value", x, u)
+    return "x,value\n" + _csv(x, u)
 
 
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
-    """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows.
-
-    A table larger than physical memory, counted low as three 8-byte
-    columns of N(N+1)/2 rows (its traced peak is 100-106 bytes a row),
+    """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows,
+    one format call per step n on views of lag.  A table larger than
+    physical memory, counted low as the two copies of its text the run
+    holds (the rows and their join) with one character per weight,
     raises SolverError before the weights are assembled."""
     exp = cfg.build_exponent()
     validate_assumption_a(exp, cfg.T)
@@ -382,11 +374,18 @@ def emit_weights_csv(cfg: ExperimentConfig) -> str:
     # step size, which T / N cannot give past the float range
     tau = cfg.T / min(steps, 2 ** 62)
     _check_grid(steps, tau)
-    _require_memory(24 * (steps * (steps + 1) // 2),
+    # the text: the digits of 1..N, each printed N + 1 times as n or k,
+    # and 4 characters on each of the N(N+1)/2 rows (three separators and
+    # at least one digit of b), so (N + 1)(digits + 2N) characters
+    width = len(str(steps))
+    digits = (steps + 1) * width - (10 ** width - 1) // 9
+    _require_memory(2 * (steps + 1) * (digits + 2 * steps),
                     f"the weights table of {steps} steps")
     lag = assemble_weights(steps, tau, exp)
-    n, k = np.tril_indices(steps)
-    return _csv("n,k,b", n + 1, k + 1, lag[n - k])
+    k = np.arange(1, steps + 1)
+    return "".join(chain(["n,k,b\n"], (
+        _csv(np.full(n, n), k[:n], lag[n - 1::-1])
+        for n in range(1, steps + 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -216,13 +216,17 @@ def test_every_csv_number_reads_back_to_the_same_float():
     assert _floats_are_17_digits(b, lag[n - k])
 
 
-def test_weights_dump_spanning_row_blocks_is_one_table():
-    # 5050 rows are more than one format call of _csv writes
+def test_weights_dump_spanning_row_blocks_is_one_table(monkeypatch):
+    # the 5050 rows are formatted one row of steps at a time, a format
+    # call of n rows for each step n, and joined into one table
     N = 100
-    assert N * (N + 1) // 2 > harness._CSV_ROWS
+    calls, csv = [], harness._csv
+    monkeypatch.setattr(harness, "_csv", lambda *columns: calls.append(
+        len(columns[0])) or csv(*columns))
     cfg = ExperimentConfig(kind="weights-dump", n_steps=N, T=1.0)
     lag = assemble_weights(N, 1.0 / N, cfg.build_exponent())
     text = emit_weights_csv(cfg)
+    assert calls == list(range(1, N + 1))
     lines = text.splitlines()
     assert text.endswith("\n") and not text.endswith("\n\n")
     assert len(lines) == 1 + N * (N + 1) // 2 and "" not in lines
@@ -231,6 +235,20 @@ def test_weights_dump_spanning_row_blocks_is_one_table():
     want_n, want_k = np.tril_indices(N)
     assert np.array_equal(n, want_n + 1) and np.array_equal(k, want_k + 1)
     assert _same_floats([float(c) for c in b], lag[n - k])
+
+
+def test_an_output_of_many_rows_is_one_line_per_row():
+    # 10001 rows in one format call print as one line each, with one
+    # final LF, and read back bit for bit
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 1.0, 10001)
+    u = rng.standard_normal(x.size) * 10.0 ** rng.integers(-300, 300, x.size)
+    text = emit_solution_csv(x, u)
+    lines = text.splitlines()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert len(lines) == 1 + x.size and "" not in lines
+    got_x, got_u = _columns(text, "x,value")
+    assert _floats_are_17_digits(got_x, x) and _floats_are_17_digits(got_u, u)
 
 
 def test_csv_marks_first_rate_with_star():

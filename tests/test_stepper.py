@@ -917,17 +917,24 @@ def test_a_march_larger_than_memory_is_refused_before_it_allocates(
     ["solve", "--N", "300", "--M", "64"],
     ["figure1", "--N", "300", "--M", "64"],
     ["weights-dump", "--N", "300"],
-], ids=["solve", "figure1", "weights-dump"])
+    ["weights-dump", "--N", "300", "--exponent", "zero"],
+], ids=["solve", "figure1", "weights-dump", "weights-dump-zero"])
 def test_a_run_larger_than_memory_exits_3_before_it_allocates(
         tmp_path, capsys, monkeypatch, argv):
     # msd counts a march by _march_bytes (figure1 sizes its first,
-    # multiscale run) and the weights table as three 8-byte columns of
-    # N(N+1)/2 rows, each at or below the traced peak of the run; one
-    # byte less memory exits 3, naming physical memory, before any
-    # weights, modes or table indices are built, and nothing is written
+    # multiscale run) and the weights table as two copies of its text
+    # with one character per weight (the zero exponent prints every
+    # weight as 0, the shortest table text), each at or below the traced
+    # peak of the run; one byte less memory exits 3, naming physical
+    # memory, before any weights or modes are built or any row is
+    # formatted, and nothing is written
     out = tmp_path / "out.csv"
     if argv[0] == "weights-dump":
-        need = 24 * (300 * 301 // 2)
+        # D digits in 1..300, each printed 301 times as n or k, and four
+        # characters a row: three separators and one of b
+        width = len("300")
+        digits = 301 * width - (10 ** width - 1) // 9
+        need = 2 * (301 * digits + 4 * (300 * 301 // 2))
     else:
         need = stepper._march_bytes(300, [Mesh1D(64)])
     tracemalloc.start()
@@ -943,7 +950,7 @@ def test_a_run_larger_than_memory_exits_3_before_it_allocates(
     with unittest.mock.patch.object(stepper, "assemble_weights", _never), \
             unittest.mock.patch.object(harness, "assemble_weights", _never), \
             unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
-            unittest.mock.patch.object(np, "tril_indices", _never):
+            unittest.mock.patch.object(harness, "_csv", _never):
         assert main(argv + ["--out", str(out)]) == 3
     assert re.fullmatch(r"msd: solver failure: .* needs at least "
                         + re.escape(f"{need:.3g} bytes, more than the ")
