@@ -31,10 +31,7 @@ class Mesh1D:
     m_cells: int
 
     def __post_init__(self):
-        require_integer(self.m_cells, "m_cells")
-        if self.m_cells < 2:
-            raise ValidationError(
-                f"mesh needs at least 2 cells, got {self.m_cells}")
+        require_integer(self.m_cells, "m_cells", 2)
 
     @property
     def h(self) -> float:
@@ -144,11 +141,14 @@ def dst1(values: np.ndarray) -> np.ndarray:
 def ritz_projection(mesh: Mesh1D, u0) -> np.ndarray:
     """Energy projection onto the P1 space: nodal interpolation in 1-D.
 
-    u0 must vanish at both boundary points, to 1e-12 times
-    max(1, max |u0| at the interior nodes): the model is linear, so
-    scaling the data does not change whether it is admissible.
+    u0 must give one value per node and vanish at both boundary points,
+    to 1e-12 times max(1, max |u0| at the interior nodes): the model is
+    linear, so scaling the data does not change whether it is admissible.
     """
     values = np.asarray(u0(mesh.interior_nodes()), float)
+    if values.shape != (mesh.n_unknowns,):
+        raise ValidationError(f"initial data gave shape {values.shape} "
+                              f"at the nodes, need {(mesh.n_unknowns,)}")
     ends = np.asarray(u0(np.array([0.0, 1.0])), float)
     if np.abs(ends).max() > end_tolerance(values):
         raise ValidationError(

@@ -35,7 +35,7 @@ from .fem import Mesh1D, discrete_l2_norm, end_tolerance
 from .reference import (ComparisonSeries, figure_transition_profiles,
                         sin_pi)
 from .stepper import SolverConfig, _require_memory, solve, solve_ladder
-from .weights import _check_grid, assemble_weights
+from .weights import _check_step, _check_steps, assemble_weights
 
 KINDS = ("solve", "convergence-time", "convergence-space", "figure1",
          "weights-dump")
@@ -363,17 +363,16 @@ def emit_solution_csv(x: np.ndarray, u: np.ndarray) -> str:
 
 def emit_weights_csv(cfg: ExperimentConfig) -> str:
     """Dump the lower-triangular table b(n, k) = lag[n - k] as n,k,b rows,
-    one format call per step n on views of lag.  A table larger than
-    physical memory, counted low as the two copies of its text the run
-    holds (the rows and their join) with one character per weight,
-    raises SolverError before the weights are assembled."""
+    one format call per step n on views of lag.  Before it assembles lag
+    it refuses a grid that weights refuses (ValidationError) and a table
+    larger than physical memory (SolverError), counted low as the two
+    copies of its text it holds (rows and join), one character a weight."""
     exp = cfg.build_exponent()
     validate_assumption_a(exp, cfg.T)
     steps = cfg.n_steps
-    # _check_grid refuses a step count past 2**60 before it reads the
-    # step size, which T / N cannot give past the float range
-    tau = cfg.T / min(steps, 2 ** 62)
-    _check_grid(steps, tau)
+    _check_steps(steps)
+    tau = cfg.T / steps
+    _check_step(tau)
     # the text: the digits of 1..N, each printed N + 1 times as n or k,
     # and 4 characters on each of the N(N+1)/2 rows (three separators and
     # at least one digit of b), so (N + 1)(digits + 2N) characters

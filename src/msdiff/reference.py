@@ -45,9 +45,7 @@ def cq_weights(alpha_bar: float, count: int) -> np.ndarray:
     if not 0.0 < alpha_bar < 1.0:
         raise ValidationError(
             f"constant exponent must lie in (0, 1), got {alpha_bar}")
-    require_integer(count, "count")
-    if count < 0:
-        raise ValidationError(f"need count >= 0, got {count}")
+    require_integer(count, "count", 0)
     j = np.arange(1.0, count + 1.0)
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha_bar) / j)))
 

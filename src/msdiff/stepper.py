@@ -90,13 +90,15 @@ import numpy as np
 from .errors import SolverError, ValidationError, require_integer
 from .exponents import VariableExponent, validate_assumption_a
 from .fem import Mesh1D, dst1, ritz_projection, sine_eigenvalues
-from .weights import assemble_weights, closed_form_lags, exponent_factors
+from .weights import (_check_step, _check_steps, assemble_weights,
+                      closed_form_lags, exponent_factors)
 
 
 @dataclass
 class SolverConfig:
     """One run of the homogeneous model: grid, horizon, exponent, data;
-    initial(x) must vanish at the boundary and accept numpy arrays."""
+    initial(x) must vanish at the boundary and accept numpy arrays, T
+    lie in (0, inf), and N and T/N pass the grid checks of weights."""
 
     T: float
     n_steps: int
@@ -105,18 +107,10 @@ class SolverConfig:
     initial: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        require_integer(self.n_steps, "n_steps")
         if not 0.0 < self.T < np.inf:
             raise ValidationError(f"T = {self.T} is not in (0, inf)")
-        if self.n_steps < 1:
-            raise ValidationError(
-                f"need at least one time step, got {self.n_steps}")
-        size = (int(self.n_steps) + 1) * int(self.mesh.n_unknowns)
-        if 8 * size > np.iinfo(np.intp).max:  # numpy cannot size it
-            raise ValidationError(
-                f"history (N+1) x (M-1) = {size} values is too large")
-        if not self.tau >= np.finfo(float).tiny:  # else M/tau overflows
-            raise ValidationError(f"time step T/N = {self.tau} underflows")
+        _check_steps(self.n_steps, self.mesh.n_unknowns)
+        _check_step(self.tau)
 
     @property
     def tau(self) -> float:
@@ -199,6 +193,8 @@ def solve_ladder(configs: list) -> list:
     A ladder whose largest march is larger than physical memory
     (_require_memory) raises SolverError before anything is allocated.
     """
+    if not configs:
+        return []
     for i, c in enumerate(configs):
         differ = [key for key in ("T", "exponent")
                   if getattr(c, key) != getattr(configs[0], key)]
@@ -465,8 +461,5 @@ _ODD_MODES = slice(None, None, 2)
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:
     """Piecewise-linear value of snapshot n at position x in [0, 1]:
     entry n of sample_series(history, x)."""
-    require_integer(n, "snapshot index")
-    if not 0 <= n <= history.n_steps:
-        raise ValidationError(
-            f"snapshot index {n} outside 0..{history.n_steps}")
+    n = require_integer(n, "snapshot index", 0, history.n_steps)
     return float(sample_series(history, x)[n])

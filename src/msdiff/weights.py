@@ -41,25 +41,31 @@ def assemble_weights(n_steps: int, tau: float,
     """Compute the lag vector for an N-step grid in one vectorised pass.
 
     lag[j] = b(n, k) for n - k = j < n_steps: closed_form_lags of the
-    exponent_factors at the lags d = j tau.  A grid that _check_grid
-    refuses raises ValidationError; the exponent is assumed admissible.
+    exponent_factors at the lags d = j tau.  A refused grid (_check_steps,
+    _check_step) raises ValidationError; the exponent is assumed admissible.
     """
-    _check_grid(n_steps, tau)
+    _check_steps(n_steps)
+    _check_step(tau)
     return closed_form_lags(tau, *exponent_factors(tau * np.arange(n_steps),
                                                    exp))
 
 
-def _check_grid(n_steps: int, tau: float) -> None:
-    """ValidationError unless n_steps is a positive integer whose lag
-    array numpy can size and tau a positive, finite, normal float."""
-    require_integer(n_steps, "n_steps")
-    if n_steps < 1:
-        raise ValidationError(f"need at least one step, got {n_steps}")
-    if 8 * int(n_steps) > np.iinfo(np.intp).max:  # numpy cannot size it
-        raise ValidationError(f"{n_steps} steps are too many to store")
+def _check_steps(n_steps: int, width: int = 1) -> None:
+    """ValidationError unless n_steps is a positive integer and numpy can
+    size n_steps + 1 rows of `width` floats (the lag vector, or an (N+1)
+    x (M-1) history); callers check it before they divide T by N."""
+    n_steps = require_integer(n_steps, "n_steps", 1)
+    if 8 * (n_steps + 1) * int(width) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"{n_steps + 1} x {width} floats are too many to store")
+
+
+def _check_step(tau: float) -> None:
+    """ValidationError unless tau is positive, finite and normal: below
+    the smallest normal, M / tau overflows in a solve."""
     if not 0.0 < tau < np.inf:
         raise ValidationError(f"step size {tau} is not in (0, inf)")
-    if tau < np.finfo(float).tiny:  # as SolverConfig refuses T/N
+    if tau < np.finfo(float).tiny:
         raise ValidationError(f"step size {tau} underflows")
 
 

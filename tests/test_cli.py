@@ -253,7 +253,11 @@ def test_extreme_horizons_run_or_exit_2(tmp_path, capsys):
                      ["convergence-space", "--N", "4", "--M", huge,
                       "--levels", "2"]):
             assert main(argv + out) == 2, argv
-    assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if argv[:3] == ["solve", "--N", "4"]:
+                # the refusal names the (N + 1) x (M - 1) history
+                assert f"5 x {int(huge) - 1} floats" in err
     # numpy prints no warning on the way
     proc = subprocess.run(
         [sys.executable, "-m", "msdiff", "solve", "--T", "1e-300", "--N",

@@ -68,6 +68,12 @@ def _sized(value):
             "sample_solution": lambda: sample_solution(run, 0.5, value)}
 
 
+# the name each entry point gives its argument, and the least it takes
+_RANGES = {"Mesh1D": ("m_cells", 2), "SolverConfig": ("n_steps", 1),
+           "assemble_weights": ("n_steps", 1), "cq_weights": ("count", 0),
+           "sample_solution": ("snapshot index", 0)}
+
+
 @pytest.mark.parametrize("name", sorted(_sized(8)))
 def test_sizes_and_indices_must_be_integers(name):
     # unchecked, 8.5 cells make a mesh of 8 nodes at spacing 1/8.5 and
@@ -77,6 +83,22 @@ def test_sizes_and_indices_must_be_integers(name):
         with pytest.raises(ValidationError, match="must be an integer"):
             _sized(bad)[name]()
     _sized(np.int64(8))[name]()
+    # one check refuses a value below the range, and snapshot N + 1 = 9,
+    # naming the argument
+    label, low = _RANGES[name]
+    outside = [low - 1] + [9] * (name == "sample_solution")
+    for bad in outside:
+        with pytest.raises(ValidationError, match=f"^need {label} "):
+            _sized(bad)[name]()
+    # True is the integer 1: below a mesh's range, a valid size or index
+    # elsewhere, and snapshot 1 (a bool index was a numpy mask)
+    if name == "Mesh1D":
+        with pytest.raises(ValidationError, match="^need m_cells >= 2, got 1$"):
+            Mesh1D(True)
+    elif name == "sample_solution":
+        assert _sized(True)[name]() == _sized(1)[name]()
+    else:
+        _sized(True)[name]()
 
 
 def test_scaled_data_scales_the_run(exp_ex1):
@@ -981,6 +1003,27 @@ def test_ladder_refuses_configs_it_would_solve_wrongly(exp_ex1, exp_ex2):
                            match=f"ladder config 2 differs from config 0 "
                                  f"in {name}$"):
             solve_ladder(same + [odd])
+
+
+def test_an_empty_ladder_has_no_finals():
+    # configs[0] raised IndexError
+    assert solve_ladder([]) == []
+
+
+@pytest.mark.parametrize("run", [solve, heat_solve,
+                                 lambda cfg: solve_ladder([cfg])],
+                         ids=["solve", "heat_solve", "solve_ladder"])
+def test_initial_data_of_the_wrong_shape_is_refused(exp_ex1, run):
+    # a scalar ended in IndexError and a wrong length in numpy's
+    # ValueError; both are refused by the shape they gave
+    for u0, shape in ((lambda x: 0.0, r"\(\)"),
+                      (lambda x: np.zeros(3), r"\(3,\)")):
+        cfg = SolverConfig(T=1.0, n_steps=8, mesh=Mesh1D(8), exponent=exp_ex1,
+                           initial=u0)
+        with pytest.raises(ValidationError,
+                           match=f"^initial data gave shape {shape} at the "
+                                 r"nodes, need \(7,\)$"):
+            run(cfg)
 
 
 _CHAINS = {  # step counts of a ladder: two odd-part chains, and a mix
