@@ -10,8 +10,9 @@ keys (`alpha_end` is `--alpha-end`).  A flag or key may be given once,
 and a flag overrides the file; `Option.parse` checks each value, and an
 error names the flag or the file's line.  A flag or key the kind does
 not read is invalid input, as is `alpha_end` outside figure1 and
-exp-figure1.  The parser is built once per process.  Exit codes: 0
-success, 2 invalid input, 3 solver failure (including out of memory).
+exp-figure1, which `ExperimentConfig` refuses wherever it is set.  The
+parser is built once per process.  Exit codes: 0 success, 2 invalid
+input, 3 solver failure (including out of memory).
 """
 
 import argparse
@@ -50,10 +51,6 @@ def _run(args) -> tuple:
             raise ValidationError(f"{opt.flag} given twice")
         if given:
             values[opt.field] = opt.parse(given[0], opt.flag)
-    if "alpha_end" in values and args.kind != "figure1" \
-            and values.get("exponent") != "exp-figure1":
-        raise ValidationError("alpha_end (--alpha-end) has an effect only on "
-                              "figure1 and on --exponent exp-figure1")
     cfg = ExperimentConfig(args.kind, **values)
     if cfg.kind == "convergence-time":
         return emit_table(run_convergence_time(cfg), cfg.fmt), cfg.out

@@ -79,9 +79,11 @@ class ValidationReport:
 def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
     """Check admissibility of an exponent on [0, T] and classify its case.
 
-    Raises ValidationError when any clause fails: alpha(0) != 0,
-    alpha_star >= 1, a non-finite sample of alpha, alpha' or alpha'',
-    alpha(t) outside [0, alpha_star], a derivative exceeding
+    alpha, alpha' and alpha'' are sampled once, on a uniform grid of
+    [0, T]; its first point, t = 0, gives alpha(0) and the case class.
+    Raises ValidationError when any clause fails, in this order:
+    alpha(0) != 0, alpha_star >= 1, a non-finite sample of alpha, alpha'
+    or alpha'', alpha(t) outside [0, alpha_star], a derivative exceeding
     deriv_bound, or a supplied derivative inconsistent with central
     finite differences of the function it differentiates.  On success
     returns a report that carries the case classification.
@@ -89,7 +91,11 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
     if not 0.0 < T < math.inf:
         raise ValidationError(f"horizon must be positive and finite, got {T}")
 
-    a0 = float(exp.alpha(np.float64(0.0)))
+    t = np.linspace(0.0, T, _N_SAMPLES)
+    a = np.asarray(exp.alpha(t), dtype=float)
+    d1 = np.asarray(exp.alpha_d1(t), dtype=float)
+    d2 = np.asarray(exp.alpha_d2(t), dtype=float)
+    a0 = float(a[0])
     if not abs(a0) <= _ALPHA_AT_ZERO_TOL:
         raise ValidationError(
             f"exponent {exp.name!r}: alpha(0) = {a0!r} must vanish")
@@ -99,10 +105,6 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
             f"exponent {exp.name!r}: alpha_star = {exp.alpha_star} "
             "must lie in [0, 1)")
 
-    t = np.linspace(0.0, T, _N_SAMPLES)
-    a = np.asarray(exp.alpha(t), dtype=float)
-    d1 = np.asarray(exp.alpha_d1(t), dtype=float)
-    d2 = np.asarray(exp.alpha_d2(t), dtype=float)
     for label, values in (("alpha", a), ("alpha'", d1), ("alpha''", d2)):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
@@ -117,11 +119,11 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
 
     bound = exp.deriv_bound
     slack = 1e-9 * (1.0 + bound)
-    if not (np.abs(d1).max() <= bound + slack
-            and np.abs(d2).max() <= bound + slack):
+    max_d1, max_d2 = float(np.abs(d1).max()), float(np.abs(d2).max())
+    if not (max_d1 <= bound + slack and max_d2 <= bound + slack):
         raise ValidationError(
             f"exponent {exp.name!r}: derivative bound {bound} violated "
-            f"(max |a'| = {np.abs(d1).max()}, max |a''| = {np.abs(d2).max()})")
+            f"(max |a'| = {max_d1}, max |a''| = {max_d2})")
 
     fd_err_d1, fd_err_d2 = _finite_difference_check(exp, T)
     if not (fd_err_d1 <= _FD_REL_TOL and fd_err_d2 <= _FD_REL_TOL):
@@ -129,29 +131,11 @@ def validate_assumption_a(exp: VariableExponent, T: float) -> ValidationReport:
             f"exponent {exp.name!r}: supplied derivatives disagree with "
             f"finite differences (rel errors {fd_err_d1:.2e}, {fd_err_d2:.2e})")
 
-    case = classify_case(exp)
-    return ValidationReport(
-        name=exp.name,
-        horizon=T,
-        alpha_at_zero=a0,
-        max_alpha=float(a.max()),
-        max_abs_d1=float(np.abs(d1).max()),
-        max_abs_d2=float(np.abs(d2).max()),
-        fd_err_d1=fd_err_d1,
-        fd_err_d2=fd_err_d2,
-        case_class=case,
-    )
-
-
-def classify_case(exp: VariableExponent) -> CaseClass:
-    """Case 1 if alpha'(0) != 0, case 2 if only alpha''(0) != 0, else case 3."""
-    d1_0 = abs(float(exp.alpha_d1(np.float64(0.0))))
-    d2_0 = abs(float(exp.alpha_d2(np.float64(0.0))))
-    if d1_0 >= ZERO_DERIVATIVE_TOL:
-        return CaseClass.CASE1
-    if d2_0 >= ZERO_DERIVATIVE_TOL:
-        return CaseClass.CASE2
-    return CaseClass.CASE3
+    case = (CaseClass.CASE1 if abs(d1[0]) >= ZERO_DERIVATIVE_TOL else
+            CaseClass.CASE2 if abs(d2[0]) >= ZERO_DERIVATIVE_TOL else
+            CaseClass.CASE3)
+    return ValidationReport(exp.name, T, a0, float(a.max()), max_d1, max_d2,
+                            fd_err_d1, fd_err_d2, case)
 
 
 def _finite_difference_check(exp, T):

@@ -80,14 +80,16 @@ class Option:
     """One run setting, declared once for config files, CLI flags and
     ExperimentConfig.  key is the config-file key, and the flag is '--'
     + key with '_' turned into '-'.  check converts a value of the
-    ExperimentConfig field or raises ValueError or TypeError, and kinds
-    are the experiment kinds that read it; any other kind rejects it."""
+    ExperimentConfig field or raises ValueError or TypeError, kinds are
+    the experiment kinds that read it (any other kind rejects it), and
+    default is the value of a setting left None where it is read."""
 
     key: str
     field: str
     check: Callable
     help: str
     kinds: tuple = KINDS
+    default: object = None
 
     @property
     def flag(self) -> str:
@@ -108,22 +110,24 @@ _DATA_READERS = ("solve",) + _STUDIES + ("figure1",)
 OPTIONS = (
     Option("exponent", "exponent", _profile(EXPONENTS),
            f"{'|'.join(EXPONENTS)}, or a CSV file of t,alpha samples",
-           _EXPONENT_READERS),
+           _EXPONENT_READERS, "exp-example1"),
     Option("alpha_end", "alpha_end", float,
-           "terminal exponent of exp-figure1 / constant order of figure1"),
+           "terminal exponent of exp-figure1 / constant order of figure1",
+           default=0.4),
     Option("u0", "u0", _profile(INITIAL_DATA),
            f"{'|'.join(INITIAL_DATA)}, or a CSV file of x,value samples",
-           _DATA_READERS),
-    Option("T", "T", _positive(float), "final time"),
-    Option("N", "n_steps", _positive(_integer), "time steps"),
-    Option("M", "m_cells", _positive(_integer), "mesh cells", _DATA_READERS),
+           _DATA_READERS, "sin-pi"),
+    Option("T", "T", _positive(float), "final time", default=1.0),
+    Option("N", "n_steps", _positive(_integer), "time steps", default=128),
+    Option("M", "m_cells", _positive(_integer), "mesh cells", _DATA_READERS,
+           32),
     Option("levels", "levels", _checked(_integer, lambda v: v >= 2,
                                         "is fewer than the 2 a study needs"),
-           "refinement levels of a convergence study", _STUDIES),
+           "refinement levels of a convergence study", _STUDIES, 4),
     Option("out", "out", str, "output path (stdout when omitted)"),
     Option("format", "fmt",
            _checked(str, FORMATS.__contains__, f"is not one of {FORMATS}"),
-           "output format", _STUDIES),
+           "output format", _STUDIES, "csv"),
 )
 
 
@@ -135,26 +139,38 @@ def options_for(kind: str) -> tuple:
 @dataclass
 class ExperimentConfig:
     """Declarative description of one CLI run; every field but kind is
-    checked by its row of OPTIONS."""
+    checked by its row of OPTIONS.  A run reads the options whose kinds
+    hold its kind, and alpha_end only on figure1 or exponent
+    exp-figure1; a setting it reads takes Option.default when left None,
+    and any other setting that is not None raises ValidationError."""
 
     kind: str
-    exponent: str = "exp-example1"
-    alpha_end: float = 0.4
-    u0: str = "sin-pi"
-    T: float = 1.0
-    n_steps: int = 128
-    m_cells: int = 32
-    levels: int = 4
+    exponent: Optional[str] = None
+    alpha_end: Optional[float] = None
+    u0: Optional[str] = None
+    T: Optional[float] = None
+    n_steps: Optional[int] = None
+    m_cells: Optional[int] = None
+    levels: Optional[int] = None
     out: Optional[str] = None
-    fmt: str = "csv"
+    fmt: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        for opt in OPTIONS:
+        for opt in OPTIONS:  # exponent first: alpha_end's rule reads it
             value = getattr(self, opt.field)
-            if value is not None:
-                setattr(self, opt.field, opt.parse(value, opt.field))
+            if self.kind in opt.kinds and (
+                    opt.field != "alpha_end" or self.kind == "figure1"
+                    or self.exponent == "exp-figure1"):
+                setattr(self, opt.field, opt.default if value is None
+                        else opt.parse(value, opt.field))
+            elif value is not None:
+                raise ValidationError(
+                    f"option {opt.key!r} is not read by kind {self.kind!r}"
+                    if self.kind not in opt.kinds else
+                    "alpha_end (--alpha-end) has an effect only on figure1 "
+                    "and on --exponent exp-figure1")
 
     def build_exponent(self) -> VariableExponent:
         return exponent_by_name(self.exponent, self.T, self.alpha_end)

@@ -70,9 +70,9 @@ def _check_step(tau: float) -> None:
 
 
 def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:
-    """(alpha, alpha', R, Gamma(1 - alpha)) at the lags d, one exponent
-    call each on the whole array; R is kernel.smooth_factor, computed
-    from those values.
+    """(alpha, alpha', R, Gamma(1 - alpha)) at the lags d = tau arange(N),
+    one exponent call each on the whole array; R is kernel.smooth_factor
+    computed from those values, with alpha'(0) the first entry, d[0] = 0.
 
     Entries whose Gamma(1 - alpha) is out of range (alpha >= 1, alpha <
     -170 or alpha NaN) hold NaN in R and Gamma, so that evaluating more
@@ -87,8 +87,7 @@ def exponent_factors(d: np.ndarray, exp: VariableExponent) -> tuple:
     ok = (one_m > 0.0) & (one_m < 171.0)   # False for NaN
     smooth, gam = np.full(d.shape, np.nan), np.full(d.shape, np.nan)
     with np.errstate(all="ignore"):
-        smooth[ok] = smooth_factor_of(d[ok], a[ok], d1[ok],
-                                      exp.alpha_d1(0.0))
+        smooth[ok] = smooth_factor_of(d[ok], a[ok], d1[ok], d1[0])
         gam[ok] = gamma(one_m[ok])
     return a, d1, smooth, gam
 

@@ -11,8 +11,8 @@ import pytest
 from msdiff import harness
 from msdiff.cli import main
 from msdiff.errors import ValidationError
-from msdiff.harness import (ExperimentConfig, RateRow, RateTable,
-                            emit_comparison_csv, emit_solution_csv,
+from msdiff.harness import (KINDS, OPTIONS, ExperimentConfig, RateRow,
+                            RateTable, emit_comparison_csv, emit_solution_csv,
                             emit_table, emit_weights_csv, format_sig5,
                             load_config_file, parse_rate_table,
                             run_convergence_space, run_convergence_time,
@@ -39,6 +39,59 @@ def test_config_validation_rules():
         small_time_cfg(u0="gaussian")
     with pytest.raises(ValidationError):
         small_time_cfg(T=-1.0)
+
+
+# a value each option admits, and each setting's default where it is read
+_ADMITTED = {"exponent": "zero", "alpha_end": 0.6, "u0": "sin-pi", "T": 2.0,
+             "n_steps": 8, "m_cells": 8, "levels": 3, "out": "out.csv",
+             "fmt": "markdown"}
+_DEFAULTS = {"exponent": "exp-example1", "alpha_end": 0.4, "u0": "sin-pi",
+             "T": 1.0, "n_steps": 128, "m_cells": 32, "levels": 4,
+             "out": None, "fmt": "csv"}
+_ALPHA_END_RULE = (r"^alpha_end \(--alpha-end\) has an effect only on "
+                   r"figure1 and on --exponent exp-figure1$")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_refuses_a_setting_its_kind_does_not_read(kind):
+    assert set(_ADMITTED) == set(_DEFAULTS) == {o.field for o in OPTIONS}
+    for opt in OPTIONS:
+        value = _ADMITTED[opt.field]
+        if kind in opt.kinds:
+            if opt.field != "alpha_end":
+                assert getattr(ExperimentConfig(kind, **{opt.field: value}),
+                               opt.field) == value
+            continue
+        with pytest.raises(ValidationError, match=(
+                f"^option {opt.key!r} is not read by kind {kind!r}$")):
+            ExperimentConfig(kind, **{opt.field: value})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_takes_alpha_end_only_where_it_has_an_effect(kind):
+    for exponent in ("exp-example1", "exp-example2", "zero", "exp-figure1"):
+        given = {} if kind == "figure1" else {"exponent": exponent}
+        if kind == "figure1" or exponent == "exp-figure1":
+            assert ExperimentConfig(kind, alpha_end=0.6,
+                                    **given).alpha_end == 0.6
+            assert ExperimentConfig(kind, **given).alpha_end == 0.4
+        else:
+            with pytest.raises(ValidationError, match=_ALPHA_END_RULE):
+                ExperimentConfig(kind, alpha_end=0.6, **given)
+            assert ExperimentConfig(kind, **given).alpha_end is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_defaults_only_the_settings_its_kind_reads(kind):
+    cfg = ExperimentConfig(kind)
+    for opt in OPTIONS:
+        reads = kind in opt.kinds and (opt.field != "alpha_end"
+                                       or kind == "figure1")
+        assert getattr(cfg, opt.field) == (
+            _DEFAULTS[opt.field] if reads else None), opt.field
+    assert ExperimentConfig("solve").m_cells == 32
+    # a config copied with another field set is checked again
+    assert dataclasses.replace(cfg, T=3.0).T == 3.0
 
 
 def test_rate_rows_follow_log2_definition():

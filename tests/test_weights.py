@@ -10,9 +10,12 @@ from hypothesis import given, settings
 
 from msdiff.exponents import (VariableExponent, example_exponent_1,
                               example_exponent_2, figure_transition_exponent,
-                              zero_exponent)
+                              validate_assumption_a, zero_exponent)
+from msdiff.fem import Mesh1D
 from msdiff.kernel import kernel_prefactor, smooth_factor
+from msdiff.reference import sin_pi
 from msdiff.special import EULER_GAMMA
+from msdiff.stepper import SolverConfig, solve, solve_ladder
 from msdiff.weights import assemble_weights, exponent_factors
 
 from oracles import mp_lag_weights, quad_memory_weight
@@ -227,26 +230,48 @@ _BUILT_IN = [example_exponent_1(1.0), example_exponent_2(1.0),
 
 
 def _counting(exp):
-    """exp, and a dict counting its alpha and alpha' calls on arrays."""
-    calls = {"alpha": 0, "alpha_d1": 0}
+    """exp, and a dict counting its alpha, alpha' and alpha'' calls on
+    arrays, and under "scalar" its calls of any of them on a scalar."""
+    names = ("alpha", "alpha_d1", "alpha_d2")
+    calls = dict.fromkeys(names + ("scalar",), 0)
 
     def counted(name):
         real = getattr(exp, name)
 
         def call(t):
-            calls[name] += np.ndim(t) > 0
+            calls[name if np.ndim(t) > 0 else "scalar"] += 1
             return real(t)
         return call
 
-    return dataclasses.replace(exp, alpha=counted("alpha"),
-                               alpha_d1=counted("alpha_d1")), calls
+    return dataclasses.replace(
+        exp, **{name: counted(name) for name in names}), calls
 
 
 @pytest.mark.parametrize("exp", _BUILT_IN, ids=lambda e: e.name)
 def test_exponent_factors_call_the_exponent_once_per_array(exp):
     counting, calls = _counting(exp)
     exponent_factors(0.01 * np.arange(64), counting)
-    assert calls == {"alpha": 1, "alpha_d1": 1}
+    assert calls == {"alpha": 1, "alpha_d1": 1, "alpha_d2": 0, "scalar": 0}
+
+
+# validation samples alpha, alpha' and alpha'' once on its grid, and its
+# finite-difference check calls alpha and alpha' against alpha', alpha'
+# against alpha'': 7 calls; each chain of step counts that share an odd
+# part adds alpha and alpha' at its lags; none is a call on a scalar
+@pytest.mark.parametrize("exp", _BUILT_IN, ids=lambda e: e.name)
+def test_a_run_calls_the_exponent_on_arrays_only(exp):
+    counting, calls = _counting(exp)
+    validate_assumption_a(counting, 1.0)
+    assert calls == {"alpha": 2, "alpha_d1": 3, "alpha_d2": 2, "scalar": 0}
+
+    counting, calls = _counting(exp)
+    solve(SolverConfig(1.0, 64, Mesh1D(8), counting, sin_pi))
+    assert calls == {"alpha": 3, "alpha_d1": 4, "alpha_d2": 2, "scalar": 0}
+
+    counting, calls = _counting(exp)
+    solve_ladder([SolverConfig(1.0, n, Mesh1D(8), counting, sin_pi)
+                  for n in (8, 12, 16)])  # two chains: 8 and 16, and 12
+    assert calls == {"alpha": 4, "alpha_d1": 5, "alpha_d2": 2, "scalar": 0}
 
 
 @pytest.mark.parametrize("tau", [0.01, 3e-14], ids=["grid", "below-1e-12"])
