@@ -356,17 +356,19 @@ def cubic_spline(times, values, source: str) -> PiecewisePolynomial:
 
 
 def read_table_csv(path: str, columns: str) -> np.ndarray:
-    """Rows of a two-column numeric CSV file ('#' starts a comment).
-
-    A file that cannot be read, holds non-numeric text, a non-finite
-    entry or another column count raises ValidationError naming the file.
-    """
+    """Rows of a two-column numeric CSV file ('#' starts a comment), after
+    a first row naming the `columns` if there is one.  A file that cannot
+    be read, holds other non-numeric text, a non-finite entry or another
+    column count raises ValidationError naming the file."""
     try:
+        with open(path, encoding="utf-8-sig") as file:
+            head = [name.strip() for name in file.readline().split(",")]
         with warnings.catch_warnings():
             # an empty file warns; the column check below reports it
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2,
-                              encoding="utf-8-sig")
+                              encoding="utf-8-sig",
+                              skiprows=int(head == columns.split(",")))
     except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read table {path}: {err}") from err
     if data.shape[1] != 2:

@@ -214,20 +214,20 @@ def _study(cfg: ExperimentConfig, base: int, grid, diff, names: tuple,
            fixed: str) -> RateTable:
     """Rate table of the rows P = base, 2 base, ..., base 2^(levels-1).
 
-    Row P holds diff(final at P/2, final at P, P), grid(P) giving the
-    (N, M) of the run at P, so the ladder base/2, ..., base 2^(levels-1)
-    is solved once, by stepper.solve_ladder, and each run serves two
-    rows.  A failed run leaves NaN in every row that uses it.  names
-    are (kind, parameter, error) of the table.
+    Row P holds diff(final at P/2, final at P, P); grid(P) is the (N, M)
+    of the run at P.  The ladder base/2, ..., base 2^(levels-1) is built
+    a level at a time (a size SolverConfig refuses stops it before any
+    larger one exists), solved once by stepper.solve_ladder, and each
+    run serves two rows, NaN where it failed; names = (kind, P, error).
     """
     exponent, initial = cfg.build_exponent(), cfg.build_initial()
-    params = [base // 2 * 2 ** i for i in range(cfg.levels + 1)]
     finals = solve_ladder([
         SolverConfig(T=cfg.T, n_steps=n, mesh=Mesh1D(m), exponent=exponent,
-                     initial=initial) for n, m in map(grid, params)])
+                     initial=initial) for n, m in
+        (grid(base // 2 << i) for i in range(cfg.levels + 1))])
     rows, prev = [], math.nan
-    for level, p in enumerate(params[1:]):
-        coarse, fine = finals[level], finals[level + 1]
+    for level, (coarse, fine) in enumerate(zip(finals, finals[1:])):
+        p = base << level
         err = math.nan if coarse is None or fine is None \
             else diff(coarse, fine, p)
         rate = math.log2(prev / err) if 0.0 < prev < math.inf \

@@ -339,11 +339,11 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     memory[j] multiplies U_{n-j}; it needs entries 0..N-first, and
     entry 0 is never read (its share sits in `implicit`, which must be
     positive, else SolverError).  A block of steps lo..hi-1 costs one
-    GEMM with the earlier history and two half-block solves, each one
-    batched product with the dense inverses, joined by one H x H GEMM
-    with the lag matrix C (module doc); without memory (heat flow) it
-    is one product of the decay powers with row lo - 1.
-    Returns the (N+1) x modes history, for the caller to judge.
+    GEMM with U_first..U_{lo-1} (no rows at lo = first: zeros) and two
+    half-block solves, each one batched product with the dense
+    inverses, joined by one H x H GEMM with the lag matrix C (module
+    doc); heat flow (no memory) takes one product of the decay powers
+    with row lo - 1.  Returns the (N+1) x modes history to be judged.
     """
     if not implicit > 0.0:
         raise SolverError(f"implicit memory coefficient {implicit} <= 0 at "
@@ -368,9 +368,9 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
     lags = np.zeros(N + 2 * size)  # memory[1..N-first], zero padded
     lags[1:N - first + 1] = memory[1:N - first + 1]
     # strip[i, c] = lags[i + N + size - c]: row i of the block at lo takes
-    # strip[i, first - lo:], the weights of U_first..U_{lo-1}; its last
-    # `half` columns are the top half's weights in the bottom half,
-    # coupling[i, j] = lags[half + i - j]
+    # strip[i, N + size + first - lo:], the weights of U_first..U_{lo-1}
+    # (none at lo = first); its last `half` columns are the top half's
+    # weights in the bottom half, coupling[i, j] = lags[half + i - j]
     windows = np.lib.stride_tricks.sliding_window_view(lags[::-1], N + size)
     strip = np.ascontiguousarray(windows[size - 1::-1])
     coupling = strip[:half, N + size - half:]
@@ -380,12 +380,9 @@ def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
         for lo in range(1, N + 1, size):
             hi = min(lo + size, N + 1)
             block = history[lo:hi]
-            if lo > first:
-                np.matmul(strip[:hi - lo, first - lo:], history[first:lo],
-                          out=block)
-                block *= -gain
-            else:
-                block.fill(0.0)
+            np.matmul(strip[:hi - lo, N + size + first - lo:],
+                      history[first:lo], out=block)
+            block *= -gain
             block[0] += decay * history[lo - 1]
             top, bottom = block[:half], block[half:]
             _causal_solve(inverse, top)

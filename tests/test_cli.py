@@ -382,6 +382,24 @@ def test_a_ladder_too_large_for_memory_exits_3(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,grid", [
+    (["convergence-time", "--N", "8", "--M", "4"], "576460752303423489 x 3"),
+    (["convergence-space", "--N", "4", "--M", "4"], "5 x 288230376151711743"),
+], ids=["time", "space"])
+def test_a_ladder_past_the_index_range_exits_2_at_once(tmp_path, argv, grid):
+    # run 57 of the 200001-run ladder is the first numpy cannot index:
+    # refused before any larger size exists (a list of all 200001 sizes,
+    # about 2.7 GB of integers, took about a minute before the refusal)
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "msdiff", *argv, "--levels", "200000",
+         "--out", str(out)], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"msd: invalid input: {grid} floats are too "
+                           "many to store\n")
+    assert not out.exists()
+
+
 def _write_tables(tmp_path):
     """The fuzzed tables, each written once: rewriting a file costs far
     more than creating one on some disks, and the examples share them."""

@@ -480,6 +480,43 @@ def test_cli_reads_a_table_that_starts_with_a_bom(tmp_path, flags, rows):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("flags,header,rows", [
+    (["--exponent"], "t,alpha\n",
+     "0,0\n0.25,0.1\n0.5,0.15\n0.75,0.18\n1,0.2\n"),
+    (["--exponent"], "\ufeff t , alpha \r\n",
+     "0,0\r\n0.25,0.1\r\n0.5,0.15\r\n0.75,0.18\r\n1,0.2\r\n"),
+    (["--u0"], "x,value\n",
+     "0,0\n0.25,0.1875\n0.5,0.25\n0.75,0.1875\n1,0\n"),
+], ids=["exponent-table", "exponent-bom-spaces-crlf", "u0-table"])
+def test_cli_reads_a_table_headed_by_its_column_names(tmp_path, flags,
+                                                      header, rows):
+    # the README calls the tables "t,alpha CSV" and "x,value CSV", and a
+    # spreadsheet export starts with such a row
+    outputs = []
+    for name, text in (("plain.csv", rows), ("headed.csv", header + rows)):
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+        out = tmp_path / (name + ".out")
+        assert main(["solve", "--N", "8", "--M", "4", "--out", str(out)]
+                    + flags + [str(tmp_path / name)]) == 0, name
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags,header", [
+    (["--u0"], "t,alpha\n"), (["--exponent"], "x,value\n"),
+    (["--exponent"], "t,alpha,\n"), (["--u0"], "x,value\nx,value\n"),
+], ids=["u0-headed-t-alpha", "exponent-headed-x-value", "three-names",
+        "two-headers"])
+def test_cli_table_headed_by_other_names_exits_2(tmp_path, capsys, flags,
+                                                 header):
+    path = tmp_path / "table.csv"
+    path.write_text(header + "0,0\n0.5,0.25\n1,0\n")
+    assert main(["solve", "--N", "8", "--M", "4"] + flags + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"msd: invalid input: cannot read table {path}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_table_ends_are_judged_relative_to_the_data(tmp_path, capsys):
     # 1e6 sin(pi x) with exact zeros at the ends: its spline reads
     # 1.8e-12 at x = 1, far below 1e-12 times the data
