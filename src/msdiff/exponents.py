@@ -16,7 +16,6 @@ be numpy-vectorized (accept arrays, return arrays).
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -356,23 +355,32 @@ def cubic_spline(times, values, source: str) -> PiecewisePolynomial:
 
 
 def read_table_csv(path: str, columns: str) -> np.ndarray:
-    """Rows of a two-column numeric CSV file ('#' starts a comment), after
-    a first row naming the `columns` if there is one.  A file that cannot
-    be read, holds other non-numeric text, a non-finite entry or another
-    column count raises ValidationError naming the file."""
+    """Rows of a two-column numeric CSV file ('#' starts a comment, blank
+    lines are skipped), after a first line naming the `columns` if there
+    is one.  A file that cannot be read raises ValidationError naming
+    the file; a line with non-numeric text or another column count, one
+    naming the file and that line; a non-finite entry or no rows, one
+    naming the file."""
     try:
         with open(path, encoding="utf-8-sig") as file:
-            head = [name.strip() for name in file.readline().split(",")]
-        with warnings.catch_warnings():
-            # an empty file warns; the column check below reports it
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2,
-                              encoding="utf-8-sig",
-                              skiprows=int(head == columns.split(",")))
+            lines = file.read().splitlines()
     except (OSError, ValueError) as err:
         raise ValidationError(f"cannot read table {path}: {err}") from err
-    if data.shape[1] != 2:
+    rows = []
+    for number, line in enumerate(lines, 1):
+        fields = [field.strip() for field in line.split("#")[0].split(",")]
+        if fields == [""] or number == 1 and fields == columns.split(","):
+            continue
+        try:
+            if len(fields) != 2:
+                raise ValueError(f"expected two columns {columns}")
+            rows.append([float(field) for field in fields])
+        except ValueError as err:
+            raise ValidationError(f"cannot read table {path}: line "
+                                  f"{number}: {err}") from None
+    if not rows:
         raise ValidationError(f"{path}: expected two columns {columns}")
+    data = np.array(rows)
     if not np.all(np.isfinite(data)):
         raise ValidationError(f"{path}: non-finite entry in columns {columns}")
     return data

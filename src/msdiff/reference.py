@@ -64,7 +64,8 @@ def constant_subdiffusion_solve(config: SolverConfig,
     v + lam_k I^(1-a) v = v(0) from U_0 / c_k (lam_k = lam^A_k / lam^M_k),
     so the error falls like tau^(1-a); 54% in figure1 at N = 1024.
     A march larger than physical memory (stepper._require_memory) raises
-    SolverError before the weights are built.
+    SolverError before the weights are built, counted with one mode, or
+    before it marches, counted with the modes it chose.
     """
     _require_memory(_march_bytes(config.n_steps, [config.mesh]), "the march")
     weights = cq_weights(alpha_bar, config.n_steps)
@@ -106,9 +107,15 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     each run is sampled and dropped before the next.  The runs march as
     the stepper module doc says: only the odd sine modes if the nodal
     data is exactly symmetric about 1/2 (the built-in data on every M),
-    else every mode.  That costs CSV tables and callables whose nodal
-    values are not mirrored 1.55-1.75x the time at N = 1024,
-    M = 100..128, and twice the history memory.
+    else every mode, and of those, in a run that cannot amplify, only
+    the modes that start above eps times the largest.  Heat flow and the
+    constant-order model never amplify, nor does the multiscale run of
+    the default ramp (margin 0.22-0.29 for N = 2..4096 at T = 8,
+    alpha_end = 0.4), so each run of sin-pi, the first sine mode
+    exactly, marches one mode.  CSV tables and callables whose nodal
+    values are not mirrored and excite every mode cost 1.55-1.75x the
+    time of the odd-mode march at N = 1024, M = 100..128, and twice the
+    history memory.
     """
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),

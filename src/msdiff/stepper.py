@@ -64,26 +64,44 @@ alone, and SolverError, naming a block of steps, comes once none is
 left.  A run stays in the sine basis; `SolutionHistory` and the
 samplers transform back only what is read.
 
-One rule marches only the odd modes k = 1, 3, 5, ..., halving the
-solves, the history product and the history memory: a march does so
-when the nodal U_0 of every config is exactly symmetric about x = 1/2.
-An even mode sin(k pi x) is odd about x = 1/2 on every uniform mesh, so
-symmetric data starts it at zero, and modes never mix, so it stays
-zero.  The mesh nodes are mirrored bit for bit (Mesh1D.interior_nodes),
-so sin-pi and poly-x2-1mx2 data is symmetric bit for bit on every M.
-Its history holds the odd columns only, and `SolutionHistory` fills in
-the zeros when it transforms back.  Data that is not symmetric bit for
-bit (most CSV tables) marches every mode.
+Two rules pick the modes that march.  First, parity: a march steps
+only the odd modes k = 1, 3, 5, ..., halving the solves, the history
+product and the history memory, when the nodal U_0 of every config is
+exactly symmetric about x = 1/2.  An even mode sin(k pi x) is odd about
+x = 1/2 on every uniform mesh, so symmetric data starts it at zero, and
+modes never mix, so it stays zero.  The mesh nodes are mirrored bit for
+bit (Mesh1D.interior_nodes), so sin-pi and poly-x2-1mx2 data is
+symmetric bit for bit on every M.  Data that is not symmetric bit for
+bit (most CSV tables) keeps every mode.  Parity is a rule of exact
+symmetry, not a test of the coefficients: dst1 leaves an even
+coefficient of symmetric data at rounding level.
 
-The modes are picked by parity, never by testing coefficients for
-zero: dst1 leaves an even coefficient of symmetric data at rounding
-level.  A run that marched only its odd modes is judged on them alone.
+Second, size, where the march cannot amplify: heat flow, or a memory
+march whose margin c - sum_{j=1..N-first} |w[j]| is >= 0.  Config by
+config, it keeps only the parity modes whose start |dst1(U_0)[k]|
+exceeds eps max_k |dst1(U_0)[k]| (eps the float64 machine epsilon).
+Under the margin, induction on the recurrence above gives |u_n[k]| <=
+|u_0[k]|, and a nodal value is 2/M times a sum of the u_n[k] with
+weights |sin| <= 1, so the dropped modes move no value of any snapshot
+by more than (2/M) sum_dropped |u_0[k]| <= eps max_k |dst1(U_0)[k]|
+for symmetric data (at most M/2 parity modes; twice that for every
+mode).  sin-pi data is the first sine mode exactly: its other odd
+modes start at dst1 rounding, at most 2.4e-16 of the first, so its runs
+march one mode on every M from 2 to 4096 but 3854, 3922 and 4042 (two
+modes) and on every power of two up to 65536; poly-x2-1mx2 keeps every
+odd mode up to M = 16384.  A config keeps its parity modes where its
+start is all zero or not finite (so an overflowing dst1 is still
+named), and a march keeps them where the margin fails (the runs of
+Table 2's exp-example2), so failures are judged and named as before.
+A run is judged on the modes it marched; `SolutionHistory` stores
+their columns and fills in the zeros of the others when it transforms
+back.
 """
 
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -122,8 +140,10 @@ class SolutionHistory:
     """Snapshots U_0..U_N of a run: rows dst1(U_n) of `coefficients`.
 
     `coefficients` holds the dst1 columns `modes` of each row (column
-    k - 1 is mode k); a mode that did not march, as no even mode of a
-    symmetric run does (module doc), is zero and is not stored.
+    k - 1 is mode k), a slice or an index array: the modes that marched
+    (module doc).  A mode that did not march, as no even mode of a
+    symmetric run does, is zero or below the dropped bound of the module
+    doc, and is not stored.
     `initial` is U_0, the exact Ritz projection.  `final` transforms one
     row back to nodal values; the first read of `snapshots` allocates an
     (N+1) x (M-1) array and keeps it.
@@ -132,7 +152,8 @@ class SolutionHistory:
     config: SolverConfig
     coefficients: np.ndarray
     initial: np.ndarray
-    modes: slice = field(default_factory=lambda: slice(None))
+    modes: Union[slice, np.ndarray] = field(
+        default_factory=lambda: slice(None))
 
     @property
     def n_steps(self) -> int:
@@ -166,9 +187,11 @@ def solve(config: SolverConfig) -> SolutionHistory:
     Raises SolverError on a non-finite snapshot, naming its block of
     steps (or dst1(U_0)), or on a non-positive 1 + lag[0], the only
     step check; the README says why the sufficient
-    1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced.  A march larger
+    1 + lag[0] >= sum_{j>=1} |lag[j]| is not enforced (a run that meets
+    it marches only its significant modes, module doc).  A march larger
     than physical memory (_require_memory) raises SolverError before
-    the weights are assembled.
+    the weights are assembled, counted with one mode (_march_bytes), or
+    before it marches, counted with the modes it chose.
     """
     validate_assumption_a(config.exponent, config.T)
     _require_memory(_march_bytes(config.n_steps, [config.mesh]), "the march")
@@ -191,7 +214,9 @@ def solve_ladder(configs: list) -> list:
     solve(config).final() to rounding (bit for bit when N has one
     config), or give None, each alone, where solve raises SolverError.
     A ladder whose largest march is larger than physical memory
-    (_require_memory) raises SolverError before anything is allocated.
+    (_require_memory) raises SolverError before anything is allocated,
+    counted with one mode per mesh (_march_bytes), or before the level
+    whose chosen modes do not fit marches.
     """
     if not configs:
         return []
@@ -223,6 +248,8 @@ def solve_ladder(configs: list) -> list:
                 setups[key] = _mesh_modes(group)
             runs = _march_meshes(group, 1.0 + lag[0], lag, 1,
                                  setup=setups[key])
+        except _Refused:
+            raise
         except SolverError:
             continue
         for i, run in zip(picked, runs):
@@ -231,22 +258,32 @@ def solve_ladder(configs: list) -> list:
     return finals
 
 
-def _march_bytes(n_steps: int, meshes: list) -> int:
+def _march_bytes(n_steps: int, meshes: list,
+                 modes: Optional[int] = None) -> int:
     """Bytes that a joint march of N steps on the meshes holds at once at
-    least: per odd mode (all that march on symmetric data, half of them
-    otherwise) its N + 1 history rows, its H x H inverse (H = min(B/2,
-    N)) and six floats (eigenvalues, start, denominator, decay, gain),
-    the nodal U_0 of each mesh and the B x (N + B) lag strip.  Setting
-    the modes up comes first and peaks at 5-7 floats per node (traced),
-    below the march for N >= 2; it is not counted, and neither are the
-    memory weights.  It sizes the memory marches (solve, solve_ladder,
-    reference.constant_subdiffusion_solve), not heat flow, which builds
-    no strip and no inverses."""
-    modes = sum(mesh.m_cells // 2 for mesh in meshes)
+    least: the nodal U_0 of each mesh and, beside it, the march or the
+    setup, whichever is more.  The march holds per marched mode its
+    N + 1 history rows, its H x H inverse (H = min(B/2, N)) and six
+    floats (eigenvalues, start, denominator, decay, gain), and the
+    B x (N + B) lag strip; the setup (_mesh_modes), while dst1 transforms
+    the largest mesh, its odd extension and FFT, 4 floats per node (it
+    peaks at 5-7, traced).  Before the modes are chosen (`modes` None)
+    it counts one per mesh, the fewest a march keeps, so that a run that
+    fits is never refused; the march sizes the modes it chose again.
+    The memory weights are not counted.  It sizes the memory marches
+    (solve, solve_ladder, reference.constant_subdiffusion_solve), not
+    heat flow, which builds no strip and no inverses."""
+    modes = len(meshes) if modes is None else modes
     size = min(_BLOCK_ROWS, n_steps)
     per_mode = n_steps + 7 + min(_BLOCK_ROWS // 2, n_steps) ** 2
-    return 8 * (modes * per_mode + sum(mesh.n_unknowns for mesh in meshes)
-                + size * (n_steps + size))
+    march = modes * per_mode + size * (n_steps + size)
+    setup = 4 * max(mesh.n_unknowns for mesh in meshes)
+    return 8 * (sum(mesh.n_unknowns for mesh in meshes) + max(setup, march))
+
+
+class _Refused(SolverError):
+    """A run larger than physical memory (_require_memory): a ladder
+    passes it on instead of dropping the level."""
 
 
 def _require_memory(need: int, what: str) -> None:
@@ -254,8 +291,8 @@ def _require_memory(need: int, what: str) -> None:
     the machine's physical memory; nothing where os.sysconf cannot tell."""
     memory = _physical_bytes()
     if memory is not None and need > memory:
-        raise SolverError(f"{what} needs at least {need:.3g} bytes, more "
-                          f"than the {memory:.3g} bytes of physical memory")
+        raise _Refused(f"{what} needs at least {need:.3g} bytes, more "
+                       f"than the {memory:.3g} bytes of physical memory")
 
 
 def _physical_bytes() -> Optional[int]:
@@ -288,11 +325,20 @@ def _march_meshes(configs: list, implicit: float,
     configs share tau and N and their modes march as one set (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    `setup` is _mesh_modes(configs), computed here if None;
-    each history holds the columns that marched."""
+    `setup` is _mesh_modes(configs), computed here if None.  Its
+    significant modes march where the march cannot amplify (module doc),
+    else its parity modes; a memory march sizes them first
+    (_require_memory), and each history holds the columns that marched."""
     tau, N = configs[0].tau, configs[0].n_steps
-    initial, modes, lam_mass, lam_stiff, start, edges = (
-        _mesh_modes(configs) if setup is None else setup)
+    initial, parity, significant = (_mesh_modes(configs) if setup is None
+                                    else setup)
+    steady = memory is None or (
+        implicit >= np.abs(memory[1:N - first + 1]).sum())
+    modes, lam_mass, lam_stiff, start, edges = (significant if steady
+                                                else parity)
+    if memory is not None:
+        _require_memory(_march_bytes(N, [c.mesh for c in configs],
+                                     start.size), "the march")
     history = _march(lam_mass, lam_stiff, start, tau, N, implicit, memory,
                      first)
     alive = np.logical_and.reduceat(np.isfinite(history[-1]), edges[:-1])
@@ -305,28 +351,44 @@ def _march_meshes(configs: list, implicit: float,
         lo = 1 + max(n - 1, 0) // _BLOCK_ROWS * _BLOCK_ROWS
         raise SolverError("non-finite solution values in steps "
                           f"{lo}..{min(lo + _BLOCK_ROWS - 1, N)}")
-    return [SolutionHistory(c, history[:, lo:hi], u, modes) if ok
-            else None for c, u, lo, hi, ok in zip(configs, initial, edges,
-                                                  edges[1:], alive)]
+    return [SolutionHistory(c, history[:, lo:hi], u, m) if ok else None
+            for c, u, m, lo, hi, ok in zip(configs, initial, modes, edges,
+                                           edges[1:], alive)]
 
 
 def _mesh_modes(configs: list) -> tuple:
     """What a march of the configs' modes needs that does not depend on
-    tau or N: (initial, modes, lam_mass, lam_stiff, start, edges), the
-    nodal U_0 of each config, the dst1 columns that march, their
+    tau or N: (initial, parity, significant), the nodal U_0 of each
+    config and two mode sets (module doc), each (modes, lam_mass,
+    lam_stiff, start, edges): each config's dst1 columns, their
     eigenvalues and dst1(U_0) values side by side, and the bounds of
-    each config's columns.  Only the odd modes march if every nodal U_0
-    is exactly symmetric (module doc)."""
+    each config's values.  The parity set holds the odd modes if every
+    nodal U_0 is exactly symmetric, else every mode; the significant set
+    holds the parity modes whose |start| exceeds eps times the largest
+    of its config, or all of them where that largest is zero or not
+    finite, and is the parity set itself where no mode is dropped."""
     initial = [ritz_projection(c.mesh, c.initial) for c in configs]
     symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
-    modes = _ODD_MODES if symmetric else slice(None)
+    columns = _ODD_MODES if symmetric else slice(None)
     lam_mass, lam_stiff = map(np.concatenate, zip(
-        *(np.stack(sine_eigenvalues(c.mesh))[:, modes] for c in configs)))
+        *(np.stack(sine_eigenvalues(c.mesh))[:, columns] for c in configs)))
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = [dst1(u0)[modes] for u0 in initial]
+        starts = [dst1(u0)[columns] for u0 in initial]
+    start = np.concatenate(starts)
     edges = np.cumsum([0] + [u.size for u in starts])
-    return (initial, modes, lam_mass, lam_stiff, np.concatenate(starts),
-            edges)
+    parity = ([columns] * len(configs), lam_mass, lam_stiff, start, edges)
+    # no mode passes where the largest is 0, inf or NaN: keep them all
+    eps = np.finfo(float).eps
+    keep = [np.abs(u) > eps * np.abs(u).max() for u in starts]
+    keep = [k if k.any() else np.ones_like(k) for k in keep]
+    if all(k.all() for k in keep):
+        return initial, parity, parity
+    mask = np.concatenate(keep)
+    modes = [np.arange(c.mesh.n_unknowns)[columns][k]
+             for c, k in zip(configs, keep)]
+    edges = np.cumsum([0] + [k.sum() for k in keep])
+    return initial, parity, (modes, lam_mass[mask], lam_stiff[mask],
+                             start[mask], edges)
 
 
 def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,

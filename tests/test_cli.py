@@ -366,9 +366,10 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, message,
 
 def test_a_ladder_too_large_for_memory_exits_3(tmp_path, capsys,
                                               monkeypatch):
-    # meshes up to M = 2^41 at N = 4 need at least 5.1e14 bytes: refused
-    # before any mesh is set up (the spy fails the test instead of
-    # allocating if the refusal is ever lost)
+    # meshes up to M = 2^41 at N = 4 need at least 1.06e14 bytes (U_0 of
+    # every mesh and the dst1 of the largest): refused before any mesh is
+    # set up (the spy fails the test instead of allocating if the
+    # refusal is ever lost)
     def no_setup(configs):
         raise AssertionError("a mesh was set up")
 
@@ -378,7 +379,7 @@ def test_a_ladder_too_large_for_memory_exits_3(tmp_path, capsys,
                  "40", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("msd: solver failure: the ladder's largest march "
-                          "needs at least 5.1e+14 bytes, more than the "), err
+                          "needs at least 1.06e+14 bytes, more than the "), err
     assert not out.exists()
 
 

@@ -517,6 +517,23 @@ def test_cli_table_headed_by_other_names_exits_2(tmp_path, capsys, flags,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,text,line", [
+    (["--u0"], "x,value\nx,value\n0,0\n0.5,0.25\n1,0\n", 2),
+    (["--exponent"], "# t,alpha\n0,0\n\n0.5,abc\n1,0.2\n", 4),
+    (["--u0"], "x,value\n0,0\n0.5,0.25,1\n1,0\n", 3),
+    (["--exponent"], "0,0\n0.25,0.1\n0.5\n1,0.2\n", 3),
+], ids=["second-header", "after-comment-and-blank", "three-columns",
+        "one-column"])
+def test_cli_bad_table_line_is_named_by_its_line_number(tmp_path, capsys,
+                                                        flags, text, line):
+    # the line of the file, counting its header, comment and blank lines
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    assert main(["solve", "--N", "8", "--M", "4"] + flags + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"msd: invalid input: cannot read table {path}: line {line}: ")
+
+
 def test_cli_table_ends_are_judged_relative_to_the_data(tmp_path, capsys):
     # 1e6 sin(pi x) with exact zeros at the ends: its spline reads
     # 1.8e-12 at x = 1, far below 1e-12 times the data

@@ -9,7 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom
 
@@ -33,10 +33,11 @@ from conftest import u0_quartic, u0_sine
 from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
                      dense_gauss_solve, dense_history, direct_march,
                      mp_lag_weights, mp_march, scalar_march)
-from test_properties import spline_tables
+from test_properties import admissible_spline, spline_tables
 
 B = _BLOCK_ROWS
 H = B // 2  # rows of a half block
+_EPS = np.finfo(float).eps
 
 
 def test_config_validation(exp_zero):
@@ -292,20 +293,31 @@ def _sine_1_and_63(x):
 
 
 def test_every_sine_coefficient_matches_the_scalar_recurrence(exp_ex1):
-    # the modes of a run differ in size by up to 1e16: a block solve is
-    # accurate entry by entry, not only relative to the block's largest
-    # value, for heat and for the multiscale lag
+    # the modes of a run differ in size by up to 1e16: a block solve of
+    # every mode is accurate entry by entry, not only relative to the
+    # block's largest value, for heat and for the multiscale lag.  A run
+    # marches and stores the modes that start above eps of the largest
+    # start: modes 1 and 63 and some that sin(63 pi x) leaves at up to
+    # 2.5e-15 of it, not those at dst1 rounding, which stay at most eps
+    # of the largest start
     cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(64), exponent=exp_ex1,
                        initial=_sine_1_and_63)
     lam_mass, lam_stiff = sine_eigenvalues(cfg.mesh)
     start = dst1(ritz_projection(cfg.mesh, cfg.initial))
     lag = assemble_weights(cfg.n_steps, cfg.tau, exp_ex1)
-    for run, args in ((heat_solve(cfg), (1.0,)),
-                      (solve(cfg), (1.0 + lag[0], lag))):
-        want = scalar_march(lam_mass, lam_stiff, start, cfg.tau,
-                            cfg.n_steps, *args)
-        assert np.all(np.abs(run.coefficients - want)
-                      <= 1e-13 * np.abs(want))
+    excited = np.flatnonzero(np.abs(start) > _EPS * np.abs(start).max())
+    assert {0, 62} < set(excited) < set(range(63))
+    for solver, args in ((heat_solve, (1.0,)),
+                         (solve, (1.0 + lag[0], lag))):
+        args = (lam_mass, lam_stiff, start, cfg.tau, cfg.n_steps, *args)
+        want = scalar_march(*args)
+        assert np.all(np.abs(_march(*args) - want) <= 1e-13 * np.abs(want))
+        run = solver(cfg)
+        assert np.array_equal(np.arange(63)[run.modes], excited)
+        assert np.all(np.abs(run.coefficients - want[:, excited])
+                      <= 1e-13 * np.abs(want[:, excited]))
+        assert np.abs(np.delete(want, excited, axis=1)).max() \
+            <= _EPS * np.abs(start).max()
 
 
 _LADDERS = {  # (N, M) of each run: Tables 1-2's space ladders, a mixed one
@@ -390,22 +402,27 @@ def _three_models(N):
 @pytest.mark.parametrize("N", [1, B + H + 1, 3 * B])
 def test_symmetric_data_marches_its_odd_modes(N, M, data):
     # an even mode is odd about x = 1/2, so exactly symmetric data gives
-    # it a zero start and it stays zero: a run marches and stores the
-    # ceil((M - 1) / 2) odd modes only and still matches the oracle that
-    # steps every mode, for each model.  The mesh nodes are mirrored, so
-    # the built-in data takes this path off powers of two too (M = 100,
-    # 127)
+    # it a zero start and it stays zero: the parity set of a run is the
+    # ceil((M - 1) / 2) odd modes only, and a run marches and stores
+    # those of them that its start excites and still matches the oracle
+    # that steps every mode, for each model.  Those are all of them for
+    # poly-x2-1mx2 and mirrored random data, and mode 1 alone for
+    # sin-pi, which is that mode exactly.  The mesh nodes are mirrored,
+    # so the built-in data takes this path off powers of two too (M =
+    # 100, 127)
     cfg = SolverConfig(T=1.0, n_steps=N, mesh=Mesh1D(M),
                        exponent=example_exponent_1(1.0),
                        initial=_SYMMETRIC[data](M))
     u0 = ritz_projection(cfg.mesh, cfg.initial)
     assert np.array_equal(u0, u0[::-1])
+    assert stepper._mesh_modes([cfg])[1][0] == [_ODD_MODES]
+    marched = [0] if data == "sin-pi" else np.arange(M - 1)[_ODD_MODES]
     for solver, implicit, memory, first in _three_models(N):
         with _marched_sizes() as sizes:
             run = solver(cfg)
-        assert sizes == [M // 2]
-        assert run.coefficients.shape == (N + 1, M // 2)
-        assert run.modes == _ODD_MODES
+        assert sizes == [len(marched)]
+        assert run.coefficients.shape == (N + 1, len(marched))
+        assert np.array_equal(np.arange(M - 1)[run.modes], marched)
         want = direct_march(cfg, implicit, memory, first)
         assert np.abs(run.snapshots - want).max() \
             <= 1e-12 * np.abs(want).max()
@@ -421,18 +438,32 @@ def _symmetric_1_and_63(x):
 
 
 def test_odd_coefficients_match_the_scalar_recurrence(exp_ex1):
-    # the marched columns of a symmetric run, entry by entry, against
-    # the odd modes stepped alone; the modes differ in size by up to 1e16
+    # the odd modes of a symmetric run, marched as one set, entry by
+    # entry against the odd modes stepped alone; the modes differ in
+    # size by up to 1e16.  A run marches and stores the odd modes that
+    # start above eps of the largest start (modes 1 and 63 and some that
+    # sin(63 pi x) leaves at rounding above it), not those at dst1
+    # rounding, which stay at most eps of the largest start
     cfg = SolverConfig(T=1.0, n_steps=64, mesh=Mesh1D(64), exponent=exp_ex1,
                        initial=_symmetric_1_and_63)
     lam_mass, lam_stiff = sine_eigenvalues(cfg.mesh)
     start = dst1(ritz_projection(cfg.mesh, cfg.initial))
+    excited = np.flatnonzero(np.abs(start[::2])
+                             > _EPS * np.abs(start[::2]).max())
+    assert {0, 31} < set(excited) < set(range(32))
     for solver, implicit, memory, first in _three_models(cfg.n_steps):
-        want = scalar_march(lam_mass[::2], lam_stiff[::2], start[::2],
-                            cfg.tau, cfg.n_steps, implicit, memory, first)
+        args = (lam_mass[::2], lam_stiff[::2], start[::2], cfg.tau,
+                cfg.n_steps, implicit, memory, first)
+        want = scalar_march(*args)
+        got = _march(*args)
+        assert got.shape == want.shape == (cfg.n_steps + 1, 32)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         run = solver(cfg)
-        assert run.coefficients.shape == want.shape
-        assert np.all(np.abs(run.coefficients - want) <= 1e-13 * np.abs(want))
+        assert np.array_equal(np.arange(63)[run.modes], 2 * excited)
+        assert np.all(np.abs(run.coefficients - want[:, excited])
+                      <= 1e-13 * np.abs(want[:, excited]))
+        assert np.abs(np.delete(want, excited, axis=1)).max() \
+            <= _EPS * np.abs(start).max()
 
 
 @pytest.mark.parametrize("ladder", ["table1-space", "table2-space"])
@@ -457,25 +488,207 @@ def _skewed(x):
 
 
 def test_asymmetric_data_marches_every_mode(exp_ex1):
-    # data that is not mirrored bit for bit marches all M - 1 modes; so
-    # does a ladder with one such level
+    # data that is not mirrored bit for bit has all M - 1 modes in its
+    # parity set, and so does a ladder with one such level.  Where the
+    # march cannot amplify, skewed data marches all of them, mirrored
+    # data one ulp off its odd modes (its even modes start at rounding)
+    # and u0_sine, which is mode 1 to rounding, mode 1 alone.  So in
+    # the ladder the symmetric sin-pi level marches its mode 1 beside
+    # every mode of the skewed level, and all 15 of its modes where the
+    # march can amplify
     def config(initial, m=16):
         return SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(m),
                             exponent=exp_ex1, initial=initial)
 
     nudged = _mirrored(16, 3)(np.zeros(15)).copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)  # one ulp off the mirror
-    for cfg in (config(_skewed), config(u0_sine, m=12),
-                config(lambda x: nudged if np.size(x) == 15
-                       else np.zeros(np.shape(x)))):
+    for cfg, marched in ((config(_skewed), range(15)),
+                         (config(u0_sine, m=12), [0]),
+                         (config(lambda x: nudged if np.size(x) == 15
+                                 else np.zeros(np.shape(x))),
+                          range(0, 15, 2))):
+        assert stepper._mesh_modes([cfg])[1][0] == [slice(None)]
         for solver, *_ in _three_models(cfg.n_steps):
             with _marched_sizes() as sizes:
                 run = solver(cfg)
-            assert sizes == [15 if cfg.mesh.m_cells == 16 else 11]
-            assert run.coefficients.shape[1] == cfg.mesh.n_unknowns
+            assert sizes == [len(marched)]
+            assert np.array_equal(
+                np.arange(cfg.mesh.n_unknowns)[run.modes], marched)
+    ladder = [config(sin_pi), config(_skewed, m=8)]
+    assert stepper._mesh_modes(ladder)[1][0] == [slice(None)] * 2
     with _marched_sizes() as sizes:
-        solve_ladder([config(sin_pi), config(_skewed, m=8)])
+        solve_ladder(ladder)
+    assert sizes == [1 + 7]
+    memory = np.zeros(B + 2)
+    memory[1] = -2.0  # margin 1 - 2 < 0
+    with _marched_sizes() as sizes:
+        runs = _march_meshes(ladder, 1.0, memory)
     assert sizes == [15 + 7]
+    assert [run.modes for run in runs] == [slice(None)] * 2
+
+
+@st.composite
+def _sparse_or_smooth(draw):
+    """Initial data as a function of M: one to three sine modes with
+    drawn amplitudes (odd modes evaluated mirrored, or any modes not),
+    or a smooth bump x^a (1 - x)^b."""
+    if draw(st.booleans()):
+        a, b = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0))
+        return lambda m: lambda x: (np.asarray(x, float) ** a
+                                    * (1.0 - np.asarray(x, float)) ** b)
+    picks = draw(st.lists(st.tuples(st.floats(0.0, 1.0), _SIGNED),
+                          min_size=1, max_size=3))
+    mirrored = draw(st.booleans())
+
+    def initial(m):
+        def u0(x):
+            x = np.asarray(x, float)
+            if mirrored:  # sin(k pi x) for odd k, mirrored bit for bit
+                x = np.minimum(x, 1.0 - x)
+            total = np.zeros(x.shape)
+            for f, c in picks:
+                k = 1 + int(f * (m - 2))
+                k -= mirrored and k % 2 == 0
+                total += c * np.sin(k * math.pi * x)
+            return total
+        return u0
+    return initial
+
+
+def _model(name, cfg, alpha):
+    """(solver, implicit, memory, first) of one model on cfg."""
+    tau, N = cfg.tau, cfg.n_steps
+    if name == "heat":
+        return heat_solve, 1.0, None, 1
+    if name == "multiscale":
+        lag = assemble_weights(N, tau, cfg.exponent)
+        return solve, 1.0 + lag[0], lag, 1
+    scale = tau ** -alpha
+    return (lambda c: constant_subdiffusion_solve(c, alpha), scale,
+            scale * cq_weights(alpha, N), 0)
+
+
+_RISING = (np.linspace(0.0, 1.0, 4), np.array([0.0, 0.4, 0.6, 0.8]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(table=spline_tables(), data=_sparse_or_smooth(),
+       model=st.sampled_from(["multiscale", "heat", "constant-order"]),
+       alpha=st.floats(0.05, 0.95), M=st.integers(2, 48),
+       N=st.sampled_from([1, H + 1, B + H + 1, 3 * B]))
+@example(table=_RISING, data=lambda m: sin_pi, model="heat", alpha=0.5, M=16,
+         N=B + H + 1)  # heat flow marches mode 1 alone
+@example(table=_RISING, data=lambda m: sin_pi, model="multiscale", alpha=0.5,
+         M=16, N=B + H + 1)  # margin -0.11: every odd mode marches
+def test_dropped_modes_start_and_stay_below_eps(table, data, model, alpha,
+                                                M, N):
+    # drawn admissible exponents, sine-sparse or smooth data, all three
+    # models: a run marches the parity modes of its start (module doc)
+    # that start above eps of the largest start where the march cannot
+    # amplify, and all of them where it can.  Every marched column
+    # matches _march on every parity mode to 1e-13 of that column's
+    # largest value (bit for bit where nothing is dropped); every dropped
+    # mode starts at or below eps of the largest start and stays there
+    # in _march, so each nodal value is within (2/M) times the sum of
+    # the dropped starts of the full march
+    exp, T = admissible_spline(table)
+    cfg = SolverConfig(T=T, n_steps=N, mesh=Mesh1D(M), exponent=exp,
+                       initial=data(M))
+    solver, implicit, memory, first = _model(model, cfg, alpha)
+    assume(implicit > 0.0)  # else solve refuses the step
+    run = solver(cfg)
+    _, (columns, lam_mass, lam_stiff, start, _), _ = stepper._mesh_modes(
+        [cfg])
+    full = _march(lam_mass, lam_stiff, start, cfg.tau, N, implicit, memory,
+                  first)
+    parity = np.arange(M - 1)[columns[0]]
+    kept = np.isin(parity, np.arange(M - 1)[run.modes])
+    assert np.array_equal(parity[kept], np.arange(M - 1)[run.modes])
+    steady = memory is None or (
+        implicit >= np.abs(memory[1:N - first + 1]).sum())
+    largest = np.abs(start).max()
+    if not steady or largest == 0.0:
+        assert kept.all()
+    else:
+        assert np.array_equal(kept, np.abs(start) > _EPS * largest)
+    if kept.all():
+        assert np.array_equal(run.coefficients, full)
+        return
+    want = full[:, kept]
+    assert np.all(np.abs(run.coefficients - want)
+                  <= 1e-13 * np.abs(want).max(axis=0))
+    dropped = np.abs(full[:, ~kept])
+    assert dropped.max() <= _EPS * largest
+    assert np.all(dropped <= np.abs(start[~kept]))
+    nodal = np.zeros((N + 1, M - 1))
+    nodal[:, parity] = full
+    nodal = dst1(nodal) * (2.0 / M)
+    nodal[0] = run.initial
+    bound = 2.0 / M * dropped[0].sum()
+    assert np.abs(run.snapshots - nodal).max() \
+        <= bound + 1e-14 * np.abs(nodal).max()
+
+
+def test_all_zero_data_marches_its_parity_modes(exp_ex1):
+    # no mode starts above eps of a largest start of zero: a zero start
+    # keeps its parity modes, the odd ones (zero data is symmetric), and
+    # every snapshot is zero, for each model; M = 2 has one mode
+    for M in (2, 16):
+        cfg = SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(M),
+                           exponent=exp_ex1,
+                           initial=lambda x: np.zeros(np.shape(x)))
+        for solver, *_ in _three_models(cfg.n_steps):
+            with _marched_sizes() as sizes:
+                run = solver(cfg)
+            assert sizes == [M // 2]
+            assert run.modes == _ODD_MODES
+            assert not run.snapshots.any()
+
+
+@pytest.mark.parametrize("data", sorted(_SYMMETRIC) + ["skewed"])
+def test_a_two_cell_mesh_marches_its_one_mode(data, exp_ex1):
+    # M = 2 has one unknown and one mode, the largest start itself: it
+    # marches whatever the data, the margin or the model, and matches
+    # the oracle
+    initial = _skewed if data == "skewed" else _SYMMETRIC[data](2)
+    cfg = SolverConfig(T=1.0, n_steps=B + H + 1, mesh=Mesh1D(2),
+                       exponent=exp_ex1, initial=initial)
+    for solver, implicit, memory, first in _three_models(cfg.n_steps):
+        with _marched_sizes() as sizes:
+            run = solver(cfg)
+        assert sizes == [1]
+        assert np.arange(1)[run.modes].tolist() == [0]
+        want = direct_march(cfg, implicit, memory, first)
+        assert np.abs(run.snapshots - want).max() \
+            <= 1e-13 * np.abs(want).max()
+    memory = np.zeros(cfg.n_steps + 1)
+    memory[1] = -2.0  # margin 1 - 2 < 0
+    with _marched_sizes() as sizes:
+        _march_meshes([cfg], 1.0, memory)
+    assert sizes == [1]
+
+
+def test_a_ladder_picks_modes_per_config_and_per_level():
+    # exp-example2 on T = 1 has margin 0.07 at N = 16 and -0.10 at N =
+    # 64: at N = 16 the sin-pi level marches mode 1 alone beside the four
+    # odd modes of the poly-x2-1mx2 level, in one march; at N = 64 both
+    # levels march their odd modes.  Each final matches its own solve,
+    # which picks the same modes
+    exp = example_exponent_2(1.0)
+    configs = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m), exponent=exp,
+                            initial=INITIAL_DATA[data])
+               for n in (16, 64)
+               for m, data in ((16, "sin-pi"), (8, "poly-x2-1mx2"))]
+    with _marched_sizes() as sizes:
+        finals = solve_ladder(configs)
+    assert sizes == [1 + 4, 8 + 4]
+    for cfg, got in zip(configs, finals):
+        with _marched_sizes() as alone:
+            run = solve(cfg)
+        want = run.final()
+        assert alone == [1 if cfg.n_steps == 16 and cfg.mesh.m_cells == 16
+                         else cfg.mesh.m_cells // 2]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), cfg
 
 
 def test_symmetric_run_fails_in_the_block_of_its_first_bad_row(exp_ex1):
@@ -858,37 +1071,68 @@ def test_sine_coefficients_near_the_overflow_threshold(exp_ex1):
 ], ids=["space", "mixed", "time"])
 def test_a_ladder_larger_than_memory_is_refused_before_it_allocates(
         exp_ex1, monkeypatch, steps, meshes):
-    # _march_bytes counts low: on symmetric data, which marches its odd
-    # modes only, it stays below the traced peak of the ladder (and above
-    # half of it), so a ladder that fits runs; a machine one byte smaller
-    # than the count is refused before any mesh is set up, and a ladder
-    # runs where os.sysconf cannot tell
-    ladder = [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m),
-                           exponent=exp_ex1, initial=INITIAL_DATA["sin-pi"])
-              for n, m in zip(steps, meshes)]
-    need = max(stepper._march_bytes(n, [Mesh1D(m) for k, m in
-                                        zip(steps, meshes) if k == n])
-               for n in steps)
-    solve_ladder(ladder[:1])
-    tracemalloc.start()
-    try:
-        solve_ladder(ladder)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2 < need <= peak, (need, peak)
+    # _march_bytes counts low.  Before any mesh is set up it counts one
+    # mode per mesh, the fewest a march keeps: at or below the traced
+    # peak of the ladder on sin-pi data, which marches one mode per mesh,
+    # and a machine one byte smaller is refused before any mesh is set
+    # up.  Each level then counts the modes it chose: on poly-x2-1mx2
+    # data, which marches every odd mode, the largest count stays below
+    # the traced peak of the ladder (and above half of it), and a machine
+    # one byte smaller is refused before that level marches.  A ladder
+    # that fits runs, as it does where os.sysconf cannot tell
+    def ladder(data):
+        return [SolverConfig(T=1.0, n_steps=n, mesh=Mesh1D(m),
+                             exponent=exp_ex1, initial=INITIAL_DATA[data])
+                for n, m in zip(steps, meshes)]
+
+    levels = {n: [Mesh1D(m) for k, m in zip(steps, meshes) if k == n]
+              for n in steps}
+    low = max(stepper._march_bytes(n, level) for n, level in levels.items())
+    chosen = {n: stepper._march_bytes(n, level, sum(m.m_cells // 2
+                                                    for m in level))
+              for n, level in levels.items()}
+    top = max(chosen, key=chosen.get)
+    need = chosen[top]
+    peaks = {}
+    for data in ("sin-pi", "poly-x2-1mx2"):
+        solve_ladder(ladder(data)[:1])
+        tracemalloc.start()
+        try:
+            solve_ladder(ladder(data))
+            peaks[data] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert low <= peaks["sin-pi"], (low, peaks)
+    assert peaks["poly-x2-1mx2"] / 2 < need <= peaks["poly-x2-1mx2"], (
+        need, peaks)
 
     def no_setup(configs):
         raise AssertionError("a mesh was set up")
 
+    monkeypatch.setattr(stepper, "_physical_bytes", lambda: low - 1)
+    for data in ("sin-pi", "poly-x2-1mx2"):
+        with unittest.mock.patch.object(stepper, "_mesh_modes", no_setup), \
+                pytest.raises(SolverError, match=re.escape(
+                    f"largest march needs at least {low:.3g} bytes, more "
+                    "than the ")):
+            solve_ladder(ladder(data))
+    marched, march = [], stepper._march
+
+    def spy(*args):
+        marched.append(args[4])  # N
+        return march(*args)
+
     monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
-    with unittest.mock.patch.object(stepper, "_mesh_modes", no_setup), \
+    with unittest.mock.patch.object(stepper, "_march", spy), \
             pytest.raises(SolverError, match=re.escape(
-                f"needs at least {need:.3g} bytes, more than the ")):
-        solve_ladder(ladder)
+                f"the march needs at least {need:.3g} bytes, more than the ")):
+        solve_ladder(ladder("poly-x2-1mx2"))
+    assert top not in marched, (top, marched)
     for memory in (need, None):
         monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
-        assert all(final is not None for final in solve_ladder(ladder))
+        for data in ("sin-pi", "poly-x2-1mx2"):
+            assert all(final is not None
+                       for final in solve_ladder(ladder(data)))
     monkeypatch.undo()
     assert stepper._physical_bytes() > need
     with unittest.mock.patch.object(stepper.os, "sysconf",
@@ -905,34 +1149,49 @@ def _never(*args):
 def test_a_march_larger_than_memory_is_refused_before_it_allocates(
         exp_ex1, monkeypatch, name, steps, cells):
     # solve and constant_subdiffusion_solve count their march as
-    # solve_ladder does: at or below the traced peak of one run on
-    # symmetric data, so a march that fits runs; a machine one byte
-    # smaller is refused before the weights or the modes are built, and
-    # a march runs where os.sysconf cannot tell
+    # solve_ladder does: first with one mode, then with the modes they
+    # chose (one for sin-pi, every odd mode for poly-x2-1mx2), each at
+    # or below the traced peak of one run, so a march that fits runs; a
+    # machine one byte smaller than the first count is refused before
+    # the weights or the modes are built, one byte smaller than the
+    # second before the march, and a march runs where os.sysconf cannot
+    # tell
     run = {"multiscale": solve,
            "constant-order": lambda c: constant_subdiffusion_solve(c, 0.5)}
-    cfg = SolverConfig(T=1.0, n_steps=steps, mesh=Mesh1D(cells),
-                       exponent=exp_ex1, initial=INITIAL_DATA["sin-pi"])
-    need = stepper._march_bytes(steps, [cfg.mesh])
-    run[name](cfg)
-    tracemalloc.start()
-    try:
+    low = stepper._march_bytes(steps, [Mesh1D(cells)])
+    for data, modes in (("sin-pi", 1), ("poly-x2-1mx2", cells // 2)):
+        monkeypatch.undo()
+        cfg = SolverConfig(T=1.0, n_steps=steps, mesh=Mesh1D(cells),
+                           exponent=exp_ex1, initial=INITIAL_DATA[data])
+        need = stepper._march_bytes(steps, [cfg.mesh], modes)
         run[name](cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert need <= peak, (need, peak)
+        tracemalloc.start()
+        try:
+            run[name](cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert low <= need <= peak, (data, low, need, peak)
 
-    monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
-    with unittest.mock.patch.object(stepper, "assemble_weights", _never), \
-            unittest.mock.patch.object(reference, "cq_weights", _never), \
-            unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
-            pytest.raises(SolverError, match=re.escape(
-                f"the march needs at least {need:.3g} bytes, more than the ")):
-        run[name](cfg)
-    for memory in (need, None):
-        monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
-        assert np.isfinite(run[name](cfg).final()).all()
+        monkeypatch.setattr(stepper, "_physical_bytes", lambda: low - 1)
+        with unittest.mock.patch.object(stepper, "assemble_weights",
+                                        _never), \
+                unittest.mock.patch.object(reference, "cq_weights", _never), \
+                unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
+                pytest.raises(SolverError, match=re.escape(
+                    f"the march needs at least {low:.3g} bytes, more than "
+                    "the ")):
+            run[name](cfg)
+        monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
+        if need > low:
+            with unittest.mock.patch.object(stepper, "_march", _never), \
+                    pytest.raises(SolverError, match=re.escape(
+                        f"the march needs at least {need:.3g} bytes, more "
+                        "than the ")):
+                run[name](cfg)
+        for memory in (need, None):
+            monkeypatch.setattr(stepper, "_physical_bytes", lambda: memory)
+            assert np.isfinite(run[name](cfg).final()).all()
 
 
 @pytest.mark.parametrize("argv", [
