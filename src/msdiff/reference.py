@@ -104,18 +104,18 @@ def figure_transition_profiles(T: float = 8.0, alpha_end: float = 0.4,
     alpha_end is both the terminal value of the ramp and the constant
     order of the comparison model.  Returns sample_series(run, 0.5) of
     solve, heat_solve and constant_subdiffusion_solve on one config;
-    each run is sampled and dropped before the next.  The runs march as
-    the stepper module doc says: only the odd sine modes if the nodal
-    data is exactly symmetric about 1/2 (the built-in data on every M),
-    else every mode, and of those, in a run that cannot amplify, only
-    the modes that start above eps times the largest.  Heat flow and the
-    constant-order model never amplify, nor does the multiscale run of
-    the default ramp (margin 0.22-0.29 for N = 2..4096 at T = 8,
-    alpha_end = 0.4), so each run of sin-pi, the first sine mode
-    exactly, marches one mode.  CSV tables and callables whose nodal
-    values are not mirrored and excite every mode cost 1.55-1.75x the
-    time of the odd-mode march at N = 1024, M = 100..128, and twice the
-    history memory.
+    each run is sampled and dropped before the next.  Each run marches
+    the modes of the config alone (stepper module doc): the odd sine
+    modes if its nodal data is exactly symmetric about 1/2 (the built-in
+    data on every M), else every mode, and of those, where the run cannot
+    amplify, only those that start above eps times the largest.  Heat
+    flow and the constant-order model never amplify, nor does the
+    multiscale run of the default ramp (margin 0.22-0.29 for N = 2..4096
+    at T = 8, alpha_end = 0.4), so each run of sin-pi, the first sine
+    mode exactly, marches one mode.  CSV tables and callables whose
+    nodal values are not mirrored and excite every mode cost 1.55-1.75x
+    the time of the odd-mode march at N = 1024, M = 100..128, and twice
+    the history memory.
     """
     config = SolverConfig(T=T, n_steps=n_steps, mesh=Mesh1D(m_cells),
                           exponent=figure_transition_exponent(T, alpha_end),

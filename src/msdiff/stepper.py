@@ -49,25 +49,28 @@ once a march by one cumulative product, times the row before the
 block: one elementwise product per block and no solve (N = 1024, 64
 modes, one BLAS thread on a 2-vCPU AMD EPYC VM: 0.40 -> 0.06 ms).
 
-A memory march takes N/B + B/2 interpreter steps instead of N, and
-the memory sum is a BLAS-3 product (O(N^2 M) flops, the history kept fully in
-memory because the memory term needs it anyway).  Modes never mix, so
-the marcher takes the eigenvalues and start values of the modes of one
-or more meshes on one time grid; `solve_ladder` marches the meshes of a
-ladder that share N as one set.  Neither those arrays (`_mesh_modes`)
-nor the exponent at the lags (`weights.exponent_factors`) depend on
-tau, so a ladder computes each once and only the weights' closed form
+A memory march takes N/B + B/2 interpreter steps instead of N, and the
+memory sum is a BLAS-3 product (O(N^2 M) flops, the history kept fully
+in memory because the memory term needs it anyway).  Modes never mix,
+so the marcher takes the eigenvalues and start values of the modes of
+one or more meshes on one time grid; `solve_ladder` marches the meshes
+of a ladder that share N as one set.  Which modes a config marches
+depends on that config alone and on whether the march can amplify
+(`_config_modes`), not on tau or on the configs beside it, and the
+exponent at the lags (`weights.exponent_factors`) does not depend on tau
+either: a ladder sets up each config once per kind of march (amplifying
+or not), evaluates the exponent once, and only the weights' closed form
 in tau is per level.  A mesh is judged once, by row N, which any
 non-finite value reaches (decay > 0 carries it on, and so do the
 half-block and decay products and the history GEMM): it drops out
 alone, and SolverError, naming a block of steps, comes once none is
-left.  A run stays in the sine basis; `SolutionHistory` and the
-samplers transform back only what is read.
+left.  A run stays in the sine basis; `SolutionHistory` and the samplers
+transform back only what is read.
 
-Two rules pick the modes that march.  First, parity: a march steps
-only the odd modes k = 1, 3, 5, ..., halving the solves, the history
-product and the history memory, when the nodal U_0 of every config is
-exactly symmetric about x = 1/2.  An even mode sin(k pi x) is odd about
+Two rules pick the modes that march, config by config.  First, parity:
+a config steps only its odd modes k = 1, 3, 5, ..., halving its solves,
+history product and history memory, when its own nodal U_0 is exactly
+symmetric about x = 1/2.  An even mode sin(k pi x) is odd about
 x = 1/2 on every uniform mesh, so symmetric data starts it at zero, and
 modes never mix, so it stays zero.  The mesh nodes are mirrored bit for
 bit (Mesh1D.interior_nodes), so sin-pi and poly-x2-1mx2 data is
@@ -77,8 +80,8 @@ symmetry, not a test of the coefficients: dst1 leaves an even
 coefficient of symmetric data at rounding level.
 
 Second, size, where the march cannot amplify: heat flow, or a memory
-march whose margin c - sum_{j=1..N-first} |w[j]| is >= 0.  Config by
-config, it keeps only the parity modes whose start |dst1(U_0)[k]|
+march whose margin c - sum_{j=1..N-first} |w[j]| is >= 0.  A config
+keeps only the parity modes whose start |dst1(U_0)[k]|
 exceeds eps max_k |dst1(U_0)[k]| (eps the float64 machine epsilon).
 Under the margin, induction on the recurrence above gives |u_n[k]| <=
 |u_0[k]|, and a nodal value is 2/M times a sum of the u_n[k] with
@@ -140,10 +143,11 @@ class SolutionHistory:
     """Snapshots U_0..U_N of a run: rows dst1(U_n) of `coefficients`.
 
     `coefficients` holds the dst1 columns `modes` of each row (column
-    k - 1 is mode k), a slice or an index array: the modes that marched
-    (module doc).  A mode that did not march, as no even mode of a
-    symmetric run does, is zero or below the dropped bound of the module
-    doc, and is not stored.
+    k - 1 is mode k): the modes that marched (module doc), an index
+    array in every history the stepper returns (the default, every
+    column, is for histories built by hand).  A mode that did not
+    march, as no even mode of a symmetric run does, is zero or below
+    the dropped bound of the module doc, and is not stored.
     `initial` is U_0, the exact Ritz projection.  `final` transforms one
     row back to nodal values; the first read of `snapshots` allocates an
     (N+1) x (M-1) array and keeps it.
@@ -208,10 +212,11 @@ def solve_ladder(configs: list) -> list:
     evaluated once per chain of step counts N = o 2^k that share the odd
     part o, on the lags of the chain's largest N, of which level N reads
     every (N_top / N)-th entry, exactly its own; and the modes of each
-    distinct list of (mesh, initial) are set up once.  Each level's
-    weights are checked as assemble_weights checks them alone.  The
-    configs of one N march as one mode set and match
-    solve(config).final() to rounding (bit for bit when N has one
+    (mesh, initial) are set up once for the levels that cannot amplify
+    and once for those that can (_march_meshes).  Each level's weights
+    are checked as assemble_weights checks them alone.  The configs of
+    one N march as one set, each config the modes of its own solve, and
+    match solve(config).final() to rounding (bit for bit when N has one
     config), or give None, each alone, where solve raises SolverError.
     A ladder whose largest march is larger than physical memory
     (_require_memory) raises SolverError before anything is allocated,
@@ -240,14 +245,11 @@ def solve_ladder(configs: list) -> list:
         picked = [i for i, c in enumerate(configs) if c.n_steps == n_steps]
         group = [configs[i] for i in picked]
         finest = top[n_steps // (n_steps & -n_steps)]
-        key = tuple((c.mesh, c.initial) for c in group)
         try:
             lag = closed_form_lags(group[0].tau, *(
                 f[::finest // n_steps] for f in factors[finest]))
-            if key not in setups:
-                setups[key] = _mesh_modes(group)
             runs = _march_meshes(group, 1.0 + lag[0], lag, 1,
-                                 setup=setups[key])
+                                 setups=setups)
         except _Refused:
             raise
         except SolverError:
@@ -265,9 +267,9 @@ def _march_bytes(n_steps: int, meshes: list,
     setup, whichever is more.  The march holds per marched mode its
     N + 1 history rows, its H x H inverse (H = min(B/2, N)) and six
     floats (eigenvalues, start, denominator, decay, gain), and the
-    B x (N + B) lag strip; the setup (_mesh_modes), while dst1 transforms
-    the largest mesh, its odd extension and FFT, 4 floats per node (it
-    peaks at 5-7, traced).  Before the modes are chosen (`modes` None)
+    B x (N + B) lag strip; the setup (_config_modes), while dst1
+    transforms the largest mesh, its odd extension and FFT, 4 floats per
+    node (it peaks at 5-7, traced).  Before the modes are chosen (`modes` None)
     it counts one per mesh, the fewest a march keeps, so that a run that
     fits is never refused; the march sizes the modes it chose again.
     The memory weights are not counted.  It sizes the memory marches
@@ -320,22 +322,27 @@ _BLOCK_ROWS = 32
 
 def _march_meshes(configs: list, implicit: float,
                   memory: Optional[np.ndarray] = None, first: int = 1,
-                  setup: Optional[tuple] = None):
+                  setups: Optional[dict] = None):
     """SolutionHistory of each config, None where its run failed: the
     configs share tau and N and their modes march as one set (see
     _march for the other arguments), each judged by row N (module doc);
     SolverError names where the last failed: a block, or dst1(U_0).
-    `setup` is _mesh_modes(configs), computed here if None.  Its
-    significant modes march where the march cannot amplify (module doc),
-    else its parity modes; a memory march sizes them first
-    (_require_memory), and each history holds the columns that marched."""
+    Each config marches the modes _config_modes picks for it alone,
+    kept in `setups` under (mesh, initial, steady) and computed where
+    missing; a memory march sizes them first (_require_memory), and
+    each history holds the columns that marched."""
     tau, N = configs[0].tau, configs[0].n_steps
-    initial, parity, significant = (_mesh_modes(configs) if setup is None
-                                    else setup)
     steady = memory is None or (
         implicit >= np.abs(memory[1:N - first + 1]).sum())
-    modes, lam_mass, lam_stiff, start, edges = (significant if steady
-                                                else parity)
+    setups = {} if setups is None else setups
+    for c in configs:
+        if (c.mesh, c.initial, steady) not in setups:
+            setups[c.mesh, c.initial, steady] = _config_modes(c, steady)
+    initial, modes, lam_mass, lam_stiff, start = zip(
+        *(setups[c.mesh, c.initial, steady] for c in configs))
+    lam_mass, lam_stiff, start = map(np.concatenate,
+                                     (lam_mass, lam_stiff, start))
+    edges = np.cumsum([0] + [m.size for m in modes])
     if memory is not None:
         _require_memory(_march_bytes(N, [c.mesh for c in configs],
                                      start.size), "the march")
@@ -356,39 +363,26 @@ def _march_meshes(configs: list, implicit: float,
                                            edges[1:], alive)]
 
 
-def _mesh_modes(configs: list) -> tuple:
-    """What a march of the configs' modes needs that does not depend on
-    tau or N: (initial, parity, significant), the nodal U_0 of each
-    config and two mode sets (module doc), each (modes, lam_mass,
-    lam_stiff, start, edges): each config's dst1 columns, their
-    eigenvalues and dst1(U_0) values side by side, and the bounds of
-    each config's values.  The parity set holds the odd modes if every
-    nodal U_0 is exactly symmetric, else every mode; the significant set
-    holds the parity modes whose |start| exceeds eps times the largest
-    of its config, or all of them where that largest is zero or not
-    finite, and is the parity set itself where no mode is dropped."""
-    initial = [ritz_projection(c.mesh, c.initial) for c in configs]
-    symmetric = all(np.array_equal(u, u[::-1]) for u in initial)
-    columns = _ODD_MODES if symmetric else slice(None)
-    lam_mass, lam_stiff = map(np.concatenate, zip(
-        *(np.stack(sine_eigenvalues(c.mesh))[:, columns] for c in configs)))
+def _config_modes(config: SolverConfig, steady: bool) -> tuple:
+    """What a march of one config's modes needs that does not depend on
+    tau or N: (u0, modes, lam_mass, lam_stiff, start), its nodal U_0,
+    the dst1 columns that march (module doc), their eigenvalues and
+    their dst1(U_0) values.  The columns are the odd ones if U_0 is
+    exactly symmetric, else all; where the march is `steady` (cannot
+    amplify), only those whose |start| exceeds eps times the largest,
+    or all of them where that largest is zero or not finite."""
+    u0 = ritz_projection(config.mesh, config.initial)
+    modes = np.arange(u0.size)
+    if np.array_equal(u0, u0[::-1]):
+        modes = modes[::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = [dst1(u0)[columns] for u0 in initial]
-    start = np.concatenate(starts)
-    edges = np.cumsum([0] + [u.size for u in starts])
-    parity = ([columns] * len(configs), lam_mass, lam_stiff, start, edges)
+        start = dst1(u0)[modes]
     # no mode passes where the largest is 0, inf or NaN: keep them all
-    eps = np.finfo(float).eps
-    keep = [np.abs(u) > eps * np.abs(u).max() for u in starts]
-    keep = [k if k.any() else np.ones_like(k) for k in keep]
-    if all(k.all() for k in keep):
-        return initial, parity, parity
-    mask = np.concatenate(keep)
-    modes = [np.arange(c.mesh.n_unknowns)[columns][k]
-             for c, k in zip(configs, keep)]
-    edges = np.cumsum([0] + [k.sum() for k in keep])
-    return initial, parity, (modes, lam_mass[mask], lam_stiff[mask],
-                             start[mask], edges)
+    keep = np.abs(start) > np.finfo(float).eps * np.abs(start).max()
+    if steady and keep.any():
+        modes, start = modes[keep], start[keep]
+    lam_mass, lam_stiff = sine_eigenvalues(config.mesh)
+    return u0, modes, lam_mass[modes], lam_stiff[modes], start
 
 
 def _march(lam_mass: np.ndarray, lam_stiff: np.ndarray, start: np.ndarray,
@@ -511,10 +505,6 @@ def sample_series(history: SolutionHistory, x: float) -> np.ndarray:
     series = history.coefficients @ weights
     series[0] = nodal[1:-1] @ history.initial
     return series
-
-
-# dst1 columns of the odd sine modes k = 1, 3, 5, ... (column k - 1)
-_ODD_MODES = slice(None, None, 2)
 
 
 def sample_solution(history: SolutionHistory, x: float, n: int) -> float:

@@ -9,7 +9,8 @@ stiffness matrices, a dense time-stepping loop built on them that
 shares nothing with the library's marcher, the direct sine-mode
 marcher that sums the whole history at every step, where the library
 solves blocks of steps at once, a scalar recurrence of single modes in
-python floats, the whole nodal scheme in 40-digit arithmetic, the
+python floats and one in long double for long runs, the whole nodal
+scheme in 40-digit arithmetic, the
 constant-order scheme's integral form, and the exact time-continuous
 solution of one sine mode of the multiscale model.
 """
@@ -310,6 +311,27 @@ def scalar_march(lam_mass, lam_stiff, start, tau, n_steps, implicit,
             u.append(rhs / (mass + implicit * stiff))
         rows.append(u)
     return np.array(rows).T
+
+
+def longdouble_mode(lam_mass, lam_stiff, start, tau, n_steps, implicit,
+                    memory, first=1) -> np.ndarray:
+    """Coefficients u_0..u_N of one scalar mode: scalar_march's
+    recurrence in np.longdouble, each step's memory sum one np.dot of the
+    lags with the history.  The float inputs are taken exactly; with a
+    64-bit mantissa (x86-64) the oracle's own rounding grows like N times
+    1.1e-19, far below a float march's, and N = 16384 takes about 0.2 s
+    on a 2-vCPU VM.
+    """
+    ld = np.longdouble
+    mass, stiff = ld(lam_mass) / ld(tau), ld(lam_stiff)
+    denom = mass + ld(implicit) * stiff
+    lags = np.asarray(memory, dtype=ld)
+    u = np.zeros(n_steps + 1, dtype=ld)
+    u[0] = start
+    for n in range(1, n_steps + 1):  # sum_{j=first..n-1} memory[n-j] u_j
+        history = np.dot(lags[n - first:0:-1], u[first:n])
+        u[n] = (mass * u[n - 1] - stiff * history) / denom
+    return u
 
 
 def cq_integral_form(lam_mass, lam_stiff, start, tau, n_steps,

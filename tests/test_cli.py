@@ -370,10 +370,10 @@ def test_a_ladder_too_large_for_memory_exits_3(tmp_path, capsys,
     # every mesh and the dst1 of the largest): refused before any mesh is
     # set up (the spy fails the test instead of allocating if the
     # refusal is ever lost)
-    def no_setup(configs):
+    def no_setup(*args):
         raise AssertionError("a mesh was set up")
 
-    monkeypatch.setattr("msdiff.stepper._mesh_modes", no_setup)
+    monkeypatch.setattr("msdiff.stepper._config_modes", no_setup)
     out = tmp_path / "out.csv"
     assert main(["convergence-space", "--N", "4", "--M", "4", "--levels",
                  "40", "--out", str(out)]) == 3

@@ -24,15 +24,15 @@ from msdiff.fem import (Mesh1D, discrete_l2_norm, dst1, ritz_projection,
 from msdiff.harness import INITIAL_DATA
 from msdiff.reference import (constant_subdiffusion_solve, cq_weights,
                                heat_solve, sin_pi)
-from msdiff.stepper import (_BLOCK_ROWS, _ODD_MODES, SolverConfig, _march,
-                            _march_meshes, sample_series, sample_solution,
-                            solve, solve_ladder)
+from msdiff.stepper import (_BLOCK_ROWS, SolverConfig, _march, _march_meshes,
+                            sample_series, sample_solution, solve,
+                            solve_ladder)
 from msdiff.weights import assemble_weights
 
 from conftest import u0_quartic, u0_sine
 from oracles import (assemble_mass, assemble_stiffness, dense_from_tridiag,
                      dense_gauss_solve, dense_history, direct_march,
-                     mp_lag_weights, mp_march, scalar_march)
+                     longdouble_mode, mp_lag_weights, mp_march, scalar_march)
 from test_properties import admissible_spline, spline_tables
 
 B = _BLOCK_ROWS
@@ -221,6 +221,36 @@ def test_blocked_marcher_matches_direct_oracle_on_a_long_run(exp_ex1):
     _assert_matches_direct([cfg], 1.0 + lag[0], lag)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than a double here")
+@pytest.mark.parametrize("first", [1, 0], ids=["multiscale", "constant-order"])
+def test_long_march_matches_the_long_double_recurrence(first):
+    # the one check of the march beyond N = 4096, and against truth, not
+    # a float march: modes 1 and 63 of M = 64 at N = 16384 with the lags
+    # of exp-example1 (first = 1) and of CQ at alpha = 0.4 (first = 0),
+    # marched as one set, each within 1e-13 of its own largest value of
+    # the long-double recurrence.  The gaps measured 2.5e-14 and 5.9e-18
+    # (first = 1) and 1.4e-14 and 4.4e-17 (first = 0) on x86-64; the
+    # bound is 4x the largest, still 36x below N eps = 3.6e-12, the scale
+    # of rounding that grows like N, and far below the gap of a wrong lag
+    # or block coupling
+    N, tau = 16384, 1.0 / 16384
+    lam_mass, lam_stiff = (  # columns 0 and 62: modes 1 and 63
+        lam[[0, 62]] for lam in sine_eigenvalues(Mesh1D(64)))
+    if first:
+        memory = assemble_weights(N, tau, example_exponent_1(1.0))
+        implicit = 1.0 + memory[0]
+    else:
+        implicit = tau ** -0.4
+        memory = implicit * cq_weights(0.4, N)
+    got = _march(lam_mass, lam_stiff, np.ones(2), tau, N, implicit, memory,
+                 first)
+    for k in range(2):
+        want = longdouble_mode(lam_mass[k], lam_stiff[k], 1.0, tau, N,
+                               implicit, memory, first)
+        assert np.abs(got[:, k] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _mp_scheme_gaps(N, M):
     # gap of each marcher's snapshots to the 40-digit scheme, relative
     # to max |U|: solve on the four built-in profiles, then heat and CQ
@@ -402,8 +432,9 @@ def _three_models(N):
 @pytest.mark.parametrize("N", [1, B + H + 1, 3 * B])
 def test_symmetric_data_marches_its_odd_modes(N, M, data):
     # an even mode is odd about x = 1/2, so exactly symmetric data gives
-    # it a zero start and it stays zero: the parity set of a run is the
-    # ceil((M - 1) / 2) odd modes only, and a run marches and stores
+    # it a zero start and it stays zero: the parity modes of the config
+    # (_config_modes where the march can amplify) are the ceil((M - 1) /
+    # 2) odd modes only, and a run marches and stores
     # those of them that its start excites and still matches the oracle
     # that steps every mode, for each model.  Those are all of them for
     # poly-x2-1mx2 and mirrored random data, and mode 1 alone for
@@ -415,8 +446,9 @@ def test_symmetric_data_marches_its_odd_modes(N, M, data):
                        initial=_SYMMETRIC[data](M))
     u0 = ritz_projection(cfg.mesh, cfg.initial)
     assert np.array_equal(u0, u0[::-1])
-    assert stepper._mesh_modes([cfg])[1][0] == [_ODD_MODES]
-    marched = [0] if data == "sin-pi" else np.arange(M - 1)[_ODD_MODES]
+    odd = np.arange(M - 1)[::2]
+    assert np.array_equal(stepper._config_modes(cfg, False)[1], odd)
+    marched = [0] if data == "sin-pi" else odd
     for solver, implicit, memory, first in _three_models(N):
         with _marched_sizes() as sizes:
             run = solver(cfg)
@@ -488,14 +520,13 @@ def _skewed(x):
 
 
 def test_asymmetric_data_marches_every_mode(exp_ex1):
-    # data that is not mirrored bit for bit has all M - 1 modes in its
-    # parity set, and so does a ladder with one such level.  Where the
-    # march cannot amplify, skewed data marches all of them, mirrored
-    # data one ulp off its odd modes (its even modes start at rounding)
-    # and u0_sine, which is mode 1 to rounding, mode 1 alone.  So in
-    # the ladder the symmetric sin-pi level marches its mode 1 beside
-    # every mode of the skewed level, and all 15 of its modes where the
-    # march can amplify
+    # data that is not mirrored bit for bit has all M - 1 modes as its
+    # parity modes.  Where the march cannot amplify, skewed data marches
+    # all of them, mirrored data one ulp off its odd modes (its even
+    # modes start at rounding) and u0_sine, which is mode 1 to rounding,
+    # mode 1 alone.  A ladder level's parity is its own: beside the
+    # skewed level, the symmetric sin-pi level marches its mode 1, and
+    # its 8 odd modes where the march can amplify
     def config(initial, m=16):
         return SolverConfig(T=1.0, n_steps=B + 1, mesh=Mesh1D(m),
                             exponent=exp_ex1, initial=initial)
@@ -507,7 +538,8 @@ def test_asymmetric_data_marches_every_mode(exp_ex1):
                          (config(lambda x: nudged if np.size(x) == 15
                                  else np.zeros(np.shape(x))),
                           range(0, 15, 2))):
-        assert stepper._mesh_modes([cfg])[1][0] == [slice(None)]
+        assert np.array_equal(stepper._config_modes(cfg, False)[1],
+                              np.arange(cfg.mesh.n_unknowns))
         for solver, *_ in _three_models(cfg.n_steps):
             with _marched_sizes() as sizes:
                 run = solver(cfg)
@@ -515,7 +547,9 @@ def test_asymmetric_data_marches_every_mode(exp_ex1):
             assert np.array_equal(
                 np.arange(cfg.mesh.n_unknowns)[run.modes], marched)
     ladder = [config(sin_pi), config(_skewed, m=8)]
-    assert stepper._mesh_modes(ladder)[1][0] == [slice(None)] * 2
+    parity = [np.arange(15)[::2], np.arange(7)]
+    for cfg, modes in zip(ladder, parity):
+        assert np.array_equal(stepper._config_modes(cfg, False)[1], modes)
     with _marched_sizes() as sizes:
         solve_ladder(ladder)
     assert sizes == [1 + 7]
@@ -523,8 +557,9 @@ def test_asymmetric_data_marches_every_mode(exp_ex1):
     memory[1] = -2.0  # margin 1 - 2 < 0
     with _marched_sizes() as sizes:
         runs = _march_meshes(ladder, 1.0, memory)
-    assert sizes == [15 + 7]
-    assert [run.modes for run in runs] == [slice(None)] * 2
+    assert sizes == [8 + 7]
+    for run, modes in zip(runs, parity):
+        assert np.array_equal(run.modes, modes)
 
 
 @st.composite
@@ -597,11 +632,9 @@ def test_dropped_modes_start_and_stay_below_eps(table, data, model, alpha,
     solver, implicit, memory, first = _model(model, cfg, alpha)
     assume(implicit > 0.0)  # else solve refuses the step
     run = solver(cfg)
-    _, (columns, lam_mass, lam_stiff, start, _), _ = stepper._mesh_modes(
-        [cfg])
+    _, parity, lam_mass, lam_stiff, start = stepper._config_modes(cfg, False)
     full = _march(lam_mass, lam_stiff, start, cfg.tau, N, implicit, memory,
                   first)
-    parity = np.arange(M - 1)[columns[0]]
     kept = np.isin(parity, np.arange(M - 1)[run.modes])
     assert np.array_equal(parity[kept], np.arange(M - 1)[run.modes])
     steady = memory is None or (
@@ -641,7 +674,7 @@ def test_all_zero_data_marches_its_parity_modes(exp_ex1):
             with _marched_sizes() as sizes:
                 run = solver(cfg)
             assert sizes == [M // 2]
-            assert run.modes == _ODD_MODES
+            assert np.array_equal(run.modes, np.arange(M - 1)[::2])
             assert not run.snapshots.any()
 
 
@@ -689,6 +722,49 @@ def test_a_ladder_picks_modes_per_config_and_per_level():
         assert alone == [1 if cfg.n_steps == 16 and cfg.mesh.m_cells == 16
                          else cfg.mesh.m_cells // 2]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), cfg
+
+
+@pytest.mark.parametrize("margin", ["heat", "steady", "amplifying"])
+def test_each_config_of_a_joint_march_marches_its_solo_modes(exp_ex1,
+                                                             margin):
+    # which modes a config marches depends on that config alone: beside
+    # skewed data (every mode), data one ulp off the mirror (its odd
+    # modes; every mode where the march can amplify) and u0_sine (mode 1
+    # to rounding), the exactly symmetric sin-pi and poly-x2-1mx2 configs
+    # march the modes of their solo runs, also where the march can
+    # amplify (margin 1 - 2 < 0) and each keeps its own parity modes, and
+    # a config given twice marches twice.  Each history matches its solo
+    # run to 1e-14 of its largest value: the history product is taken
+    # over other columns, which may change its rounding
+    nudged = _mirrored(12, 3)(np.zeros(11)).copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)  # one ulp off the mirror
+    configs = [SolverConfig(T=1.0, n_steps=B + H + 1, mesh=Mesh1D(m),
+                            exponent=exp_ex1, initial=initial)
+               for m, initial in ((16, sin_pi), (8, _skewed),
+                                  (8, INITIAL_DATA["poly-x2-1mx2"]),
+                                  (12, lambda x: nudged if np.size(x) == 11
+                                   else np.zeros(np.shape(x))),
+                                  (12, u0_sine), (16, sin_pi))]
+    N = configs[0].n_steps
+    memory = {"heat": None,
+              "steady": assemble_weights(N, 1.0 / N, exp_ex1),
+              "amplifying": np.zeros(N + 1)}[margin]
+    implicit = 1.0
+    if margin == "steady":
+        implicit += memory[0]
+        assert implicit >= np.abs(memory[1:]).sum()
+    elif margin == "amplifying":
+        memory[1] = -2.0
+    runs = _march_meshes(configs, implicit, memory)
+    solo = [_march_meshes([c], implicit, memory)[0] for c in configs]
+    counts = ([8, 7, 4, 11, 11, 8] if margin == "amplifying"
+              else [1, 7, 4, 6, 1, 1])
+    assert [run.coefficients.shape[1] for run in solo] == counts
+    for run, alone in zip(runs, solo):
+        columns = np.arange(run.config.mesh.n_unknowns)
+        assert np.array_equal(columns[run.modes], columns[alone.modes])
+        assert np.abs(run.coefficients - alone.coefficients).max() \
+            <= 1e-14 * np.abs(alone.coefficients).max()
 
 
 def test_symmetric_run_fails_in_the_block_of_its_first_bad_row(exp_ex1):
@@ -1106,12 +1182,12 @@ def test_a_ladder_larger_than_memory_is_refused_before_it_allocates(
     assert peaks["poly-x2-1mx2"] / 2 < need <= peaks["poly-x2-1mx2"], (
         need, peaks)
 
-    def no_setup(configs):
+    def no_setup(*args):
         raise AssertionError("a mesh was set up")
 
     monkeypatch.setattr(stepper, "_physical_bytes", lambda: low - 1)
     for data in ("sin-pi", "poly-x2-1mx2"):
-        with unittest.mock.patch.object(stepper, "_mesh_modes", no_setup), \
+        with unittest.mock.patch.object(stepper, "_config_modes", no_setup), \
                 pytest.raises(SolverError, match=re.escape(
                     f"largest march needs at least {low:.3g} bytes, more "
                     "than the ")):
@@ -1177,7 +1253,7 @@ def test_a_march_larger_than_memory_is_refused_before_it_allocates(
         with unittest.mock.patch.object(stepper, "assemble_weights",
                                         _never), \
                 unittest.mock.patch.object(reference, "cq_weights", _never), \
-                unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
+                unittest.mock.patch.object(stepper, "_config_modes", _never), \
                 pytest.raises(SolverError, match=re.escape(
                     f"the march needs at least {low:.3g} bytes, more than "
                     "the ")):
@@ -1230,7 +1306,7 @@ def test_a_run_larger_than_memory_exits_3_before_it_allocates(
     monkeypatch.setattr(stepper, "_physical_bytes", lambda: need - 1)
     with unittest.mock.patch.object(stepper, "assemble_weights", _never), \
             unittest.mock.patch.object(harness, "assemble_weights", _never), \
-            unittest.mock.patch.object(stepper, "_mesh_modes", _never), \
+            unittest.mock.patch.object(stepper, "_config_modes", _never), \
             unittest.mock.patch.object(harness, "_csv", _never):
         assert main(argv + ["--out", str(out)]) == 3
     assert re.fullmatch(r"msd: solver failure: .* needs at least "
